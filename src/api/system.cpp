@@ -372,9 +372,12 @@ System::Calibration System::calibrate(const TraceSource& traces,
   if (spec.faults.any()) {
     cal_faults.emplace(spec.faults, mesh_.num_cores());
   }
-  TrafficRecorder recorder(spec.contention == ContentionMode::kMeasured
-                               ? spec.calibration_packets
-                               : 0);
+  // The measured path discards the capture run's report, so the run may
+  // stop as soon as its earliest calibration_packets are final.
+  TrafficRecorder recorder =
+      spec.contention == ContentionMode::kMeasured
+          ? TrafficRecorder(spec.calibration_packets, CaptureStop::kWhenFinal)
+          : TrafficRecorder();
   (void)run_trace(traces, spec, placement, cost_, &recorder,
                   cal_faults ? &*cal_faults : nullptr);
   std::vector<TrafficEvent> events = std::move(recorder.events());
@@ -401,6 +404,9 @@ System::Calibration System::calibrate(const TraceSource& traces,
     }
     section.calibration_packets = cal.packets;
     section.calibration_cycles = cal.cycles;
+    for (const std::uint64_t flits : cal.utilization.flits_by_vnet) {
+      section.calibration_flit_hops += flits;
+    }
     section.calibration_drained = cal.drained;
     section.calibration_drops = cal.drops;
     section.calibration_retransmissions = cal.retransmissions;

@@ -235,9 +235,11 @@ struct RunReport {
     std::array<double, vnet::kNumVnets> utilization{};
     /// Per-vnet corrected cycles-per-hop the rebuilt tables used.
     std::array<double, vnet::kNumVnets> corrected_per_hop{};
-    /// kMeasured: calibration replay size and duration.
+    /// kMeasured: calibration replay size and duration, and the flits the
+    /// fabric moved across links doing it (its work, in flit-hops).
     std::uint64_t calibration_packets = 0;
     Cycle calibration_cycles = 0;
+    std::uint64_t calibration_flit_hops = 0;
     /// kMeasured under a lossy FaultSpec: packets lost at ejection and
     /// retransmitted by the reliable transport during the replay — the
     /// recovery load the corrected tables price in.  Zero otherwise.

@@ -1,5 +1,8 @@
 #include "coherence/cc_sim.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "util/assert.hpp"
 
 namespace em2 {
@@ -44,6 +47,7 @@ CcRunReport run_cc(const TraceSource& traces, const Placement& placement,
   bool progressed = true;
   while (progressed) {
     progressed = false;
+    Cycle round_min = std::numeric_limits<Cycle>::max();
     for (std::size_t t = 0; t < nthreads; ++t) {
       const Access* ap = cursor[t]->next();
       if (ap == nullptr) {
@@ -55,7 +59,11 @@ CcRunReport run_cc(const TraceSource& traces, const Placement& placement,
       if (recorder != nullptr) {
         recorder->stamp(clock[t]);
         clock[t] += 1 + r.latency;
+        round_min = std::min(round_min, clock[t]);
       }
+    }
+    if (recorder != nullptr && recorder->complete(round_min)) {
+      break;  // a capture-only run: every packet it keeps is recorded
     }
   }
 

@@ -1,6 +1,8 @@
 #include "em2/replication.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <unordered_map>
 
 #include "util/assert.hpp"
@@ -88,6 +90,7 @@ Em2RunReport run_em2_replicated(
   bool progressed = true;
   while (progressed) {
     progressed = false;
+    Cycle round_min = std::numeric_limits<Cycle>::max();
     for (std::size_t t = 0; t < nthreads; ++t) {
       const Access* ap = cursor[t]->next();
       if (ap == nullptr) {
@@ -106,6 +109,7 @@ Em2RunReport run_em2_replicated(
         extra.inc("reads");
         if (recorder != nullptr) {
           clock[t] += 1;  // local read: compute only, no packets
+          round_min = std::min(round_min, clock[t]);
         }
         continue;
       }
@@ -120,7 +124,11 @@ Em2RunReport run_em2_replicated(
       if (recorder != nullptr) {
         recorder->stamp(clock[t]);
         clock[t] += 1 + out.thread_cost + out.memory_latency;
+        round_min = std::min(round_min, clock[t]);
       }
+    }
+    if (recorder != nullptr && recorder->complete(round_min)) {
+      break;  // a capture-only run: every packet it keeps is recorded
     }
   }
   for (std::size_t t = 0; t < nthreads; ++t) {

@@ -1,5 +1,8 @@
 #include "em2/trace_sim.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/faults.hpp"
 #include "util/assert.hpp"
 
@@ -61,6 +64,7 @@ Em2RunReport run_em2(const TraceSource& traces, const Placement& placement,
   bool progressed = true;
   while (progressed) {
     progressed = false;
+    Cycle round_min = std::numeric_limits<Cycle>::max();
     for (std::size_t t = 0; t < nthreads; ++t) {
       const Access* ap = cursor[t]->next();
       if (ap == nullptr) {
@@ -86,7 +90,11 @@ Em2RunReport run_em2(const TraceSource& traces, const Placement& placement,
       if (recorder != nullptr) {
         recorder->stamp(clock[t]);
         clock[t] += 1 + out.thread_cost + out.memory_latency;
+        round_min = std::min(round_min, clock[t]);
       }
+    }
+    if (recorder != nullptr && recorder->complete(round_min)) {
+      break;  // a capture-only run: every packet it keeps is recorded
     }
   }
   for (std::size_t t = 0; t < nthreads; ++t) {

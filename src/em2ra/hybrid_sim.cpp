@@ -1,5 +1,8 @@
 #include "em2ra/hybrid_sim.hpp"
 
+#include <algorithm>
+#include <limits>
+
 #include "sim/faults.hpp"
 
 namespace em2 {
@@ -39,6 +42,7 @@ void scalar_loop(LoopState& s, Policy& policy, FaultInjector* faults) {
   bool progressed = true;
   while (progressed) {
     progressed = false;
+    Cycle round_min = std::numeric_limits<Cycle>::max();
     for (std::size_t t = 0; t < nthreads; ++t) {
       const Access* ap = s.cursor[t]->next();
       if (ap == nullptr) {
@@ -64,7 +68,11 @@ void scalar_loop(LoopState& s, Policy& policy, FaultInjector* faults) {
       if (s.recorder != nullptr) {
         s.recorder->stamp(s.clock[t]);
         s.clock[t] += 1 + out.base.thread_cost + out.base.memory_latency;
+        round_min = std::min(round_min, s.clock[t]);
       }
+    }
+    if (s.recorder != nullptr && s.recorder->complete(round_min)) {
+      break;  // a capture-only run: every packet it keeps is recorded
     }
   }
 }
@@ -164,6 +172,7 @@ void batched_loop(LoopState& s, Policy& policy) {
     }
 
     // Apply pass, in pass order.
+    Cycle round_min = std::numeric_limits<Cycle>::max();
     if constexpr (Traits::kBatchSafeDecide) {
       s.machine.bulk_access_prologue(reads, n - reads);
     }
@@ -195,7 +204,11 @@ void batched_loop(LoopState& s, Policy& policy) {
       if (s.recorder != nullptr) {
         s.recorder->stamp(s.clock[t]);
         s.clock[t] += 1 + out.base.thread_cost + out.base.memory_latency;
+        round_min = std::min(round_min, s.clock[t]);
       }
+    }
+    if (s.recorder != nullptr && s.recorder->complete(round_min)) {
+      break;  // a capture-only run: every packet it keeps is recorded
     }
   }
 }

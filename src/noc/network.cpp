@@ -1,15 +1,13 @@
 #include "noc/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <limits>
 
 #include "util/assert.hpp"
 
 namespace em2 {
 namespace {
-
-constexpr std::uint64_t kNoLock = std::numeric_limits<std::uint64_t>::max();
 
 /// Input port at the downstream router for a flit travelling in `d`.
 int arrival_port(Direction d) {
@@ -34,32 +32,73 @@ Network::Network(const Mesh& mesh, const NetworkParams& params)
     : mesh_(mesh), params_(params) {
   EM2_ASSERT(params.num_vnets >= 1, "need at least one virtual network");
   EM2_ASSERT(params.vc_depth >= 1, "VC FIFOs need at least one slot");
-  const auto nodes = static_cast<std::size_t>(mesh_.num_cores());
-  const auto per_node =
-      static_cast<std::size_t>(kNumDirections * params_.num_vnets);
-  EM2_ASSERT(per_node <= 64,
+  vnets_ = static_cast<std::uint32_t>(params_.num_vnets);
+  candidates_ = static_cast<std::uint32_t>(kNumDirections) * vnets_;
+  depth_ = static_cast<std::uint32_t>(params_.vc_depth);
+  EM2_ASSERT(candidates_ <= 64,
              "per-router occupancy mask holds at most 64 (port, vnet) "
              "candidates");
-  fifos_.resize(nodes * per_node);
-  out_lock_.assign(nodes * per_node, kNoLock);
-  link_flits_.assign(nodes * per_node, 0);
+  vnet_mask_ = (std::uint64_t{1} << vnets_) - 1;
+  for (std::uint32_t port = 0; port < kNumDirections; ++port) {
+    spread_ |= std::uint64_t{1} << (port * vnets_);
+  }
+  const auto nodes = static_cast<std::size_t>(mesh_.num_cores());
+  const std::size_t fifos = nodes * candidates_;
+  const std::size_t outputs = nodes * static_cast<std::size_t>(kNumDirections);
+  neighbour_.assign(outputs, kNoCore);
+  down_fifo_.assign(outputs, 0);
+  down_cand_.assign(outputs, 0);
+  for (CoreId node = 0; node < mesh_.num_cores(); ++node) {
+    for (int out = 0; out < kNumDirections; ++out) {
+      const auto dir = static_cast<Direction>(out);
+      const CoreId next = mesh_.neighbor(node, dir);
+      const std::size_t o =
+          static_cast<std::size_t>(node) * kNumDirections +
+          static_cast<std::size_t>(out);
+      neighbour_[o] = next;
+      if (next != kNoCore && dir != Direction::kLocal) {
+        const int port = arrival_port(dir);
+        down_fifo_[o] = fifo_index(next, port, 0);
+        down_cand_[o] = static_cast<std::uint32_t>(port) * vnets_;
+      }
+    }
+  }
+  cand_vnet_.resize(candidates_);
+  for (std::uint32_t c = 0; c < candidates_; ++c) {
+    cand_vnet_[c] = c % vnets_;
+  }
+  rings_.assign(fifos, Ring{});
+  slots_.assign(fifos * depth_, Flit{});
+  front_out_.assign(fifos, 0);
+  link_flits_.assign(fifos, 0);
+  source_.assign(nodes * vnets_, SourceQueue{});
   occupancy_.assign(nodes, 0);
-  want_.assign(nodes * static_cast<std::size_t>(kNumDirections), 0);
-  popped_.assign(nodes, 0);
-  rr_state_.assign(nodes * static_cast<std::size_t>(kNumDirections), 0);
-  latency_.resize(static_cast<std::size_t>(params_.num_vnets));
+  heads_.assign(nodes, 0);
+  full_.assign(nodes, 0);
+  fresh_.assign(nodes, 0);
+  locks_.assign(nodes, 0);
+  want_.assign(outputs, 0);
+  rr_.assign(outputs, 0);
+  latency_.resize(vnets_);
 }
 
-std::size_t Network::fifo_index(CoreId node, int port, int vn) const noexcept {
-  return (static_cast<std::size_t>(node) * kNumDirections +
-          static_cast<std::size_t>(port)) *
-             static_cast<std::size_t>(params_.num_vnets) +
-         static_cast<std::size_t>(vn);
+void Network::set_front_out(std::size_t node, std::size_t fi,
+                            std::uint32_t cand, std::uint32_t out) noexcept {
+  front_out_[fi] = static_cast<std::uint8_t>(out);
+  want_[node * kNumDirections + out] |= std::uint64_t{1} << cand;
 }
 
-bool Network::fifo_has_space(CoreId node, int port, int vn) const noexcept {
-  return fifos_[fifo_index(node, port, vn)].q.size() <
-         static_cast<std::size_t>(params_.vc_depth);
+Network::Flit Network::front(std::size_t node,
+                             std::uint32_t cand) const noexcept {
+  if (cand < vnets_) {
+    // Injection queue (port 0, candidate = vnet): the front packet's
+    // next unsent flit, derived.
+    const SourceQueue& q = source_[node * vnets_ + cand];
+    return Flit{q.first, q.sent == 0,
+                q.sent == packets_[q.first].packet.flits - 1};
+  }
+  const std::size_t fi = node * candidates_ + cand;
+  return slots_[fi * depth_ + rings_[fi].start];
 }
 
 void Network::inject(const Packet& packet) {
@@ -69,220 +108,217 @@ void Network::inject(const Packet& packet) {
   EM2_ASSERT(packet.src >= 0 && packet.src < mesh_.num_cores() &&
                  packet.dst >= 0 && packet.dst < mesh_.num_cores(),
              "packet endpoints outside the mesh");
-  const std::uint64_t index = packets_.size();
-  packets_.push_back(PacketState{packet, now_});
+  std::uint32_t slot = free_packet_;
+  if (slot != kNone) {
+    free_packet_ = packets_[slot].next;
+    packets_[slot] = PacketState{packet, now_, kNone};
+  } else {
+    EM2_ASSERT(packets_.size() < kNone, "too many packets in flight");
+    slot = static_cast<std::uint32_t>(packets_.size());
+    packets_.push_back(PacketState{packet, now_, kNone});
+  }
   ++in_flight_;
-  // Source-queue flits directly into the local input FIFO's unbounded
-  // staging area: we model the source queue as allowed to exceed vc_depth
-  // (injection backpressure is then exerted by the switch, which only
-  // drains one flit per cycle per output).  This matches a processor-side
-  // unbounded send queue feeding a network interface.
-  auto& fifo = fifos_[fifo_index(packet.src, 0, packet.vnet)];
-  const bool was_empty = fifo.q.empty();
-  for (std::int32_t f = 0; f < packet.flits; ++f) {
-    Flit flit;
-    flit.packet_index = index;
-    flit.head = f == 0;
-    flit.tail = f == packet.flits - 1;
-    flit.arrived = now_;
-    fifo.q.push_back(flit);
+  // The source queue is unbounded (a processor-side send queue feeding
+  // the network interface); injection backpressure is exerted by the
+  // switch, which drains at most one flit per cycle per output.  Its
+  // flits entered before the next step() began, so they are never fresh.
+  const auto node = static_cast<std::size_t>(packet.src);
+  const auto cand = static_cast<std::uint32_t>(packet.vnet);
+  SourceQueue& q = source_[node * vnets_ + cand];
+  if (q.first == kNone) {
+    q.first = slot;
+    q.sent = 0;
+    occupancy_[node] |= std::uint64_t{1} << cand;
+    heads_[node] |= std::uint64_t{1} << cand;
+    set_front_out(node, node * candidates_ + cand, cand,
+                  route(node, packet.dst));
+  } else {
+    packets_[q.last].next = slot;
   }
-  if (was_empty) {
-    occupancy_[static_cast<std::size_t>(packet.src)] |=
-        candidate_bit(0, packet.vnet);
-    set_front_want(packet.src, 0, packet.vnet, fifo.q.front());
-  }
+  q.last = slot;
 }
 
-int Network::front_want(CoreId node, int vn, const Flit& front) const {
-  if (front.head) {
-    // Heads choose their output by XY routing.
-    return static_cast<int>(mesh_.route_xy(
-        node, packets_[front.packet_index].packet.dst));
-  }
-  // Body/tail flits follow the wormhole lock their head acquired at this
-  // router; the lock is held until this packet's tail passes, so exactly
-  // one output holds it.
-  for (int out = 0; out < kNumDirections; ++out) {
-    if (out_lock_[fifo_index(node, out, vn)] == front.packet_index) {
-      return out;
-    }
-  }
-  EM2_ASSERT(false, "body flit at the front of a FIFO without its head's "
-                    "wormhole lock");
-  return 0;
-}
-
-void Network::set_front_want(CoreId node, int port, int vn,
-                             const Flit& front) {
-  want_[static_cast<std::size_t>(node) * kNumDirections +
-        static_cast<std::size_t>(front_want(node, vn, front))] |=
-      candidate_bit(port, vn);
-}
-
-bool Network::try_grant(CoreId node, int out, Direction out_dir,
-                        CoreId next, std::uint32_t cand,
-                        std::size_t rr_index, bool& any_movement) {
-  const std::int32_t vnets = params_.num_vnets;
-  const int in_port = static_cast<int>(cand) / vnets;
-  const int vn = static_cast<int>(cand) % vnets;
-  const std::size_t fi = fifo_index(node, in_port, vn);
-  const std::uint64_t bit = candidate_bit(in_port, vn);
-  if ((popped_[static_cast<std::size_t>(node)] & bit) != 0 ||
-      fifos_[fi].q.empty()) {
+bool Network::grantable(std::size_t node, std::uint32_t out,
+                        std::uint32_t cand) const {
+  const std::uint64_t bit = std::uint64_t{1} << cand;
+  const std::size_t fi = node * candidates_ + cand;
+  const bool empty = cand < vnets_
+                         ? source_[node * vnets_ + cand].first == kNone
+                         : rings_[fi].count == 0;
+  if (empty || (popped_ & bit) != 0 || (fresh_[node] & bit) != 0) {
     return false;
   }
-  const Flit& flit = fifos_[fi].q.front();
-  if (flit.arrived >= now_) {
-    return false;  // arrived this cycle; earliest move is next cycle
-  }
-  const PacketState& ps = packets_[flit.packet_index];
-  const std::size_t lock_index = fifo_index(node, out, vn);
+  const Flit flit = front(node, cand);
+  const std::uint32_t vn = cand_vnet_[cand];
   if (flit.head) {
     // Heads choose their output by XY routing and must acquire the
     // (output, vnet) wormhole lock.
-    if (static_cast<int>(mesh_.route_xy(node, ps.packet.dst)) != out) {
+    if (route(node, packets_[flit.packet].packet.dst) != out ||
+        (locks_[node] >> (out * vnets_ + vn) & 1) != 0) {
       return false;
     }
-    if (out_lock_[lock_index] != kNoLock) {
-      return false;
-    }
-  } else {
-    // Body/tail flits follow the lock their head acquired.
-    if (out_lock_[lock_index] != flit.packet_index) {
-      return false;
-    }
+  } else if (front_out_[fi] != out) {
+    return false;  // body/tail flits follow the lock their head acquired
   }
   // Downstream space (ejection is an infinite sink).
-  if (out_dir != Direction::kLocal &&
-      !fifo_has_space(next, arrival_port(out_dir), vn)) {
-    return false;
+  const std::size_t o = node * kNumDirections + out;
+  return out == 0 || rings_[down_fifo_[o] + vn].count < depth_;
+}
+
+void Network::grant(std::size_t node, std::uint32_t out,
+                    std::uint32_t cand) {
+  const std::uint64_t bit = std::uint64_t{1} << cand;
+  const std::size_t fi = node * candidates_ + cand;
+  const std::size_t o = node * kNumDirections + out;
+  const std::uint32_t vn = cand_vnet_[cand];
+  const std::uint32_t lock = out * vnets_ + vn;
+  const Flit flit = front(node, cand);
+
+  // Pop.  The front's want bit lives in THIS output's mask by
+  // construction.
+  popped_ |= bit;
+  any_movement_ = true;
+  want_[o] &= ~bit;
+  bool drained = false;
+  if (cand < vnets_) {
+    SourceQueue& q = source_[node * vnets_ + cand];
+    if (flit.tail) {
+      q.first = packets_[flit.packet].next;
+      q.sent = 0;
+      drained = q.first == kNone;
+    } else {
+      ++q.sent;
+    }
+  } else {
+    Ring& r = rings_[fi];
+    r.start = r.start + 1 == depth_ ? 0 : r.start + 1;
+    --r.count;
+    drained = r.count == 0;
+    full_[node] &= ~bit;
   }
-  // Grant.
-  Flit moving = flit;
-  fifos_[fi].q.pop_front();
-  // The granted candidate's front is gone: its want bit lives in THIS
-  // output's mask by construction — drop it, and the occupancy bit if the
-  // FIFO drained.
-  want_[static_cast<std::size_t>(node) * kNumDirections +
-        static_cast<std::size_t>(out)] &= ~bit;
-  if (fifos_[fi].q.empty()) {
-    occupancy_[static_cast<std::size_t>(node)] &= ~bit;
+  if (drained) {
+    occupancy_[node] &= ~bit;
+    heads_[node] &= ~bit;
+  } else if (flit.tail) {
+    // A fresh head reached the front: it wants its own XY route.
+    heads_[node] |= bit;
+    set_front_out(node, fi, cand,
+                  route(node, packets_[front(node, cand).packet].packet.dst));
+  } else {
+    // The next flit of the same packet follows this one's output.
+    heads_[node] &= ~bit;
+    want_[o] |= bit;
   }
-  popped_[static_cast<std::size_t>(node)] |= bit;
-  any_movement = true;
-  if (moving.head && !moving.tail) {
-    out_lock_[lock_index] = moving.packet_index;
-  }
-  if (moving.tail && !moving.head) {
-    out_lock_[lock_index] = kNoLock;
-  }
-  if (!fifos_[fi].q.empty()) {
-    // Re-register the new front AFTER the lock update above: a body
-    // behind a just-granted head wants the output that head just locked.
-    set_front_want(node, in_port, vn, fifos_[fi].q.front());
-  }
-  if (out_dir == Direction::kLocal) {
-    if (moving.tail) {
-      const PacketState& done = packets_[moving.packet_index];
+  // A multi-flit packet's head takes the (output, vnet) wormhole lock
+  // and its tail releases it: both toggle the bit.
+  locks_[node] ^= (std::uint64_t{1} << lock) &
+                  (0 - static_cast<std::uint64_t>(flit.head != flit.tail));
+
+  if (out == 0) {
+    if (flit.tail) {
+      PacketState& done = packets_[flit.packet];
       delivered_.push_back(Delivery{done.packet, done.injected, now_});
       ++delivered_count_;
       --in_flight_;
-      latency_[static_cast<std::size_t>(vn)].add(
-          static_cast<double>(now_ - done.injected));
+      latency_[vn].add(static_cast<double>(now_ - done.injected));
+      done.next = free_packet_;
+      free_packet_ = flit.packet;
     }
   } else {
-    const int ap = arrival_port(out_dir);
-    const std::size_t di = fifo_index(next, ap, vn);
-    moving.arrived = now_;
-    const bool dest_was_empty = fifos_[di].q.empty();
-    fifos_[di].q.push_back(moving);
-    if (dest_was_empty) {
-      occupancy_[static_cast<std::size_t>(next)] |= candidate_bit(ap, vn);
-      // A body landing at an empty FIFO means its head already traversed
-      // `next`'s switch, so the wormhole lock it needs is in place there.
-      set_front_want(next, ap, vn, moving);
+    const std::size_t down = down_fifo_[o] + vn;
+    const auto next = static_cast<std::size_t>(neighbour_[o]);
+    const std::uint32_t dcand = down_cand_[o] + vn;
+    const std::uint64_t dbit = std::uint64_t{1} << dcand;
+    Ring& r = rings_[down];
+    std::uint32_t slot = r.start + r.count;
+    if (slot >= depth_) {
+      slot -= depth_;
+    }
+    slots_[down * depth_ + slot] = flit;
+    ++r.count;
+    full_[next] |= dbit & (0 - static_cast<std::uint64_t>(r.count == depth_));
+    if (r.count == 1) {
+      occupancy_[next] |= dbit;
+      fresh_[next] |= dbit;
+      if (flit.head) {
+        heads_[next] |= dbit;
+        set_front_out(next, down, dcand,
+                      route(next, packets_[flit.packet].packet.dst));
+      } else {
+        // A body landing at an empty FIFO follows the lock its head took
+        // at `next`, which front_out_ still names.
+        set_front_out(next, down, dcand, front_out_[down]);
+      }
     }
     ++flit_hops_;
-    ++link_flits_[lock_index];
+    ++link_flits_[node * candidates_ + lock];
   }
-  rr_state_[rr_index] = cand + 1;
-  return true;  // one flit per output port per cycle
+  rr_[o] = cand + 1 == candidates_ ? 0 : cand + 1;
 }
 
 void Network::step() {
   ++now_;
-  bool any_movement = false;
-  const std::uint32_t num_candidates =
-      static_cast<std::uint32_t>(kNumDirections * params_.num_vnets);
-  // popped_ tracks FIFOs that already surrendered a flit this cycle: an
-  // input port feeds the switch at most one flit per cycle.  Member
-  // buffer reused across cycles — calibration replays step millions of
-  // cycles and a per-step allocation dominated the whole replay.
-  std::fill(popped_.begin(), popped_.end(), 0);
-
-  for (CoreId node = 0; node < mesh_.num_cores(); ++node) {
-    if (params_.occupancy_mask &&
-        occupancy_[static_cast<std::size_t>(node)] == 0) {
-      continue;  // idle router: no candidate on any output
-    }
-    for (int out = 0; out < kNumDirections; ++out) {
-      const auto out_dir = static_cast<Direction>(out);
-      const CoreId next =
-          out_dir == Direction::kLocal ? node : mesh_.neighbor(node, out_dir);
-      if (next == kNoCore) {
-        continue;  // mesh edge: no link in this direction
+  any_movement_ = false;
+  std::fill(fresh_.begin(), fresh_.end(), 0);
+  const auto nodes = static_cast<std::size_t>(mesh_.num_cores());
+  for (std::size_t node = 0; node < nodes; ++node) {
+    popped_ = 0;
+    if (params_.occupancy_mask) {
+      if (occupancy_[node] == 0) {
+        continue;  // idle router: no candidate on any output
       }
-      // Round-robin over (input port, vnet) candidates.
-      const std::size_t rr_index =
-          static_cast<std::size_t>(node) * kNumDirections +
-          static_cast<std::size_t>(out);
-      const std::uint32_t start = rr_state_[rr_index] % num_candidates;
-      if (params_.occupancy_mask) {
-        // Probe only the not-yet-popped candidates whose front flit heads
-        // for THIS output, in the same rotated order the exhaustive scan
-        // visits: start..nc-1, then 0..start-1.  Identical grants — every
-        // skipped candidate is one the scan rejects on the empty, popped,
-        // route, or lock-follow check with no side effect — at
-        // ~#competitors probes instead of num_candidates.
-        const std::uint64_t avail =
-            want_[static_cast<std::size_t>(node) * kNumDirections +
-                  static_cast<std::size_t>(out)] &
-            ~popped_[static_cast<std::size_t>(node)];
+      // A grant at one output cannot change what another output of this
+      // router may grant: each candidate's want bit names one output, a
+      // popped FIFO's next front is barred until the next cycle, and a
+      // grant moves only its own output's lock and downstream FIFO.  So
+      // snapshot the wants (minus fronts that entered this cycle) up
+      // front, and visit only the outputs that have any.
+      const std::uint64_t fresh = fresh_[node];
+      std::array<std::uint64_t, kNumDirections> wants{};
+      std::uint32_t outs = 0;
+      for (std::uint32_t out = 0; out < kNumDirections; ++out) {
+        wants[out] = want_[node * kNumDirections + out] & ~fresh;
+        outs |= static_cast<std::uint32_t>(wants[out] != 0) << out;
+      }
+      for (; outs != 0; outs &= outs - 1) {
+        const auto out = static_cast<std::uint32_t>(std::countr_zero(outs));
+        const std::size_t o = node * kNumDirections + out;
+        // Drop the candidates the exhaustive scan would reject at the
+        // lock or flow-control check: heads whose (output, vnet) lock is
+        // held, and every vnet whose downstream FIFO is full.  What is
+        // left is exactly the set of candidates the scan would grant.
+        const std::uint64_t locked =
+            (locks_[node] >> (out * vnets_)) & vnet_mask_;
+        std::uint64_t avail = wants[out] & ~(heads_[node] & locked * spread_);
+        if (out != 0) {
+          const auto next = static_cast<std::size_t>(neighbour_[o]);
+          const std::uint64_t full =
+              (full_[next] >> down_cand_[o]) & vnet_mask_;
+          avail &= ~(full * spread_);
+        }
         if (avail == 0) {
           continue;
         }
-        bool granted = false;
-        std::uint64_t hi = avail >> start;
-        while (hi != 0) {
-          const std::uint32_t cand =
-              start + static_cast<std::uint32_t>(std::countr_zero(hi));
-          if (try_grant(node, out, out_dir, next, cand, rr_index,
-                        any_movement)) {
-            granted = true;
-            break;
-          }
-          hi &= hi - 1;
+        // The scan visits start..nc-1, then 0..start-1 and grants the
+        // first grantable candidate.
+        const std::uint32_t start = rr_[o];
+        const std::uint64_t from_start = avail & (~std::uint64_t{0} << start);
+        const auto cand = static_cast<std::uint32_t>(
+            std::countr_zero(from_start != 0 ? from_start : avail));
+        grant(node, out, cand);
+      }
+    } else {
+      // Reference arbiter: exhaustive probe over every candidate.
+      for (std::uint32_t out = 0; out < kNumDirections; ++out) {
+        const std::size_t o = node * kNumDirections + out;
+        if (neighbour_[o] == kNoCore) {
+          continue;  // mesh edge: no link in this direction
         }
-        if (!granted && start != 0) {
-          std::uint64_t lo =
-              avail & ((std::uint64_t{1} << start) - 1);
-          while (lo != 0) {
-            const std::uint32_t cand =
-                static_cast<std::uint32_t>(std::countr_zero(lo));
-            if (try_grant(node, out, out_dir, next, cand, rr_index,
-                          any_movement)) {
-              break;
-            }
-            lo &= lo - 1;
-          }
-        }
-      } else {
-        // Reference arbiter: exhaustive probe over every candidate.
-        for (std::uint32_t probe = 0; probe < num_candidates; ++probe) {
-          const std::uint32_t cand = (start + probe) % num_candidates;
-          if (try_grant(node, out, out_dir, next, cand, rr_index,
-                        any_movement)) {
+        const std::uint32_t start = rr_[o];
+        for (std::uint32_t probe = 0; probe < candidates_; ++probe) {
+          const std::uint32_t cand = (start + probe) % candidates_;
+          if (grantable(node, out, cand)) {
+            grant(node, out, cand);
             break;
           }
         }
@@ -290,7 +326,7 @@ void Network::step() {
     }
   }
 
-  if (in_flight_ > 0 && !any_movement) {
+  if (in_flight_ > 0 && !any_movement_) {
     ++stalled_cycles_;
   } else {
     stalled_cycles_ = 0;

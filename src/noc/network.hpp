@@ -19,8 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "geom/mesh.hpp"
@@ -35,19 +33,19 @@ struct NetworkParams {
   std::int32_t num_vnets = vnet::kNumVnets;
   /// Input FIFO depth per (port, vnet), in flits.
   std::int32_t vc_depth = 4;
-  /// Output arbitration probes only the (in-port, vnet) candidates whose
-  /// non-empty FIFO's *front flit actually wants this output* — a
-  /// per-(router, output) want bitmask (bit = in_port * num_vnets + vnet)
-  /// maintained in O(1) at every front-flit change (a head wants its XY
-  /// route, a body wants the output its head locked), instead of scanning
-  /// all kNumDirections x num_vnets candidates per output per cycle.  The
-  /// rotating round-robin priority walks the surviving candidates in the
-  /// exact order the exhaustive scan would have granted them (skipped
-  /// candidates are exactly those the scan rejects with no side effect),
-  /// so arbitration is bit-identical (tests diff the two step for step);
-  /// only the probing cost changes — the win that makes the kMeasured
-  /// calibration replay ~10x cheaper.  false retains the exhaustive probe
-  /// as the reference arbiter.
+  /// Output arbitration.  true computes, per router output, the exact
+  /// set of (in-port, vnet) candidates the exhaustive round-robin scan
+  /// would accept, from per-router bitmasks (bit = in_port * num_vnets +
+  /// vnet) kept in O(1) at every front-flit change — which FIFO fronts
+  /// want this output (a head its XY route, a body the output its head
+  /// locked), which fronts are heads, which entered this cycle — plus the
+  /// output's wormhole locks and its downstream FIFOs' full flags, and
+  /// grants the first of them in the scan's rotated order: no probe ever
+  /// fails.  Arbitration is bit-identical (tests diff the two step for
+  /// step); only the cost changes — the 256-core sharing-mix em2
+  /// calibration replay takes 126 ms vs 1,080 ms with the exhaustive
+  /// probe (4-CPU Xeon host), which false retains as the reference
+  /// arbiter.
   bool occupancy_mask = true;
 };
 
@@ -105,6 +103,13 @@ struct FabricUtilization {
 
 /// Cycle-level mesh network.  Usage: inject() any number of packets, call
 /// step() once per cycle, consume deliveries via drain_delivered().
+///
+/// Storage is flat: every router input FIFO is a fixed vc_depth ring in
+/// one array, and each unbounded injection queue is an intrusive list of
+/// packet slots whose front flit is derived (head = first unsent flit,
+/// tail = last) instead of materialized per flit.
+/// Packet slots are recycled at delivery, so fabric memory is bounded by
+/// the packets in flight, not by the packets ever injected.
 class Network {
  public:
   Network(const Mesh& mesh, const NetworkParams& params);
@@ -122,6 +127,18 @@ class Network {
 
   /// Packets delivered since the last drain (move-returns, clears queue).
   std::vector<Delivery> drain_delivered();
+
+  /// Calls `f(const Delivery&)` for each packet delivered since the last
+  /// drain, in delivery order, then forgets them.  Keeps the buffer's
+  /// capacity, so a caller draining every step allocates nothing.  `f`
+  /// may inject() but must not drain.
+  template <typename F>
+  void drain_delivered(F&& f) {
+    for (const Delivery& d : delivered_) {
+      f(d);
+    }
+    delivered_.clear();
+  }
 
   Cycle now() const noexcept { return now_; }
   bool idle() const noexcept { return in_flight_ == 0; }
@@ -156,78 +173,136 @@ class Network {
   Cycle stalled_cycles() const noexcept { return stalled_cycles_; }
 
  private:
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+
+  /// A flit in a router input ring (or the derived front of an
+  /// injection queue).  No arrival stamp: a flit may move again only in a
+  /// strictly later cycle than it entered its FIFO, and the only fronts
+  /// that entered this cycle are the ones the per-node fresh_ mask names.
   struct Flit {
-    std::uint64_t packet_index;  // into packets_
+    std::uint32_t packet = 0;  // slot in packets_
     bool head = false;
     bool tail = false;
-    /// Cycle the flit entered its current FIFO; it may move again only in
-    /// a strictly later cycle (minimum one cycle per hop, and no
-    /// multi-hop teleporting within a single step()).
-    Cycle arrived = 0;
   };
 
   struct PacketState {
     Packet packet;
     Cycle injected = 0;
+    /// Next packet in the same injection queue (or the next free slot).
+    std::uint32_t next = kNone;
   };
 
-  // One FIFO per (node, port, vnet).  Port 0 (kLocal) holds flits waiting
-  // for injection arbitration at the source router.
-  struct VcFifo {
-    std::deque<Flit> q;
-    // Wormhole lock: while a packet is streaming through an output, the
-    // (output port, vnet) pair is reserved for it until the tail passes.
+  /// Injection queue of one (node, vnet): a packet list plus how many
+  /// flits of the front packet have already left.
+  struct SourceQueue {
+    std::uint32_t first = kNone;
+    std::uint32_t last = kNone;
+    std::int32_t sent = 0;
   };
 
-  std::size_t fifo_index(CoreId node, int port, int vn) const noexcept;
-  bool fifo_has_space(CoreId node, int port, int vn) const noexcept;
-  /// Bit of (port, vn) inside a per-node candidate mask.
-  std::uint64_t candidate_bit(int port, int vn) const noexcept {
-    return std::uint64_t{1}
-           << (static_cast<std::uint32_t>(port) *
-                   static_cast<std::uint32_t>(params_.num_vnets) +
-               static_cast<std::uint32_t>(vn));
+  /// Occupied window of one input FIFO's ring.
+  struct Ring {
+    std::uint32_t start = 0;
+    std::uint32_t count = 0;
+  };
+
+  /// FIFO (node, port, vnet) — also the index of the (node, out-port,
+  /// vnet) link counter.  Equals node * candidates + candidate.
+  std::size_t fifo_index(CoreId node, int port, int vn) const noexcept {
+    return static_cast<std::size_t>(node) * candidates_ +
+           static_cast<std::size_t>(port) * vnets_ +
+           static_cast<std::size_t>(vn);
   }
-  /// Attempts to grant output (node, out) to candidate `cand`
-  /// (= in_port * num_vnets + vn).  Returns true iff a flit moved (the
-  /// output is then done for this cycle).  Shared verbatim by the masked
-  /// and exhaustive arbiters so they can only differ in probing cost.
-  bool try_grant(CoreId node, int out, Direction out_dir, CoreId next,
-                 std::uint32_t cand, std::size_t rr_index,
-                 bool& any_movement);
-  /// The output the front flit of (node, port, vn) heads for: a head
-  /// flit's XY route, a body/tail flit's wormhole-locked output.
-  int front_want(CoreId node, int vn, const Flit& front) const;
-  /// Registers a fresh front flit in the want masks (fifo just became
-  /// non-empty, or its front changed after a pop).
-  void set_front_want(CoreId node, int port, int vn, const Flit& front);
+  /// Moves the front flit of candidate `cand` (= in_port * num_vnets +
+  /// vn) at `node` through output `out`, which the caller has checked is
+  /// grantable.  Shared verbatim by the masked and exhaustive arbiters,
+  /// so they can only differ in how they pick the candidate.
+  void grant(std::size_t node, std::uint32_t out, std::uint32_t cand);
+  /// The exhaustive arbiter's per-candidate check, from raw FIFO state.
+  bool grantable(std::size_t node, std::uint32_t out,
+                 std::uint32_t cand) const;
+  /// The front flit of candidate `cand`'s non-empty FIFO at `node`.
+  Flit front(std::size_t node, std::uint32_t cand) const noexcept;
+  /// Records `out` as the output the front flit of FIFO `fi` (candidate
+  /// `cand` at `node`) heads for.
+  void set_front_out(std::size_t node, std::size_t fi, std::uint32_t cand,
+                     std::uint32_t out) noexcept;
+  /// XY next-hop output of a head at `node` bound for `dst`.
+  std::uint32_t route(std::size_t node, CoreId dst) const noexcept {
+    return static_cast<std::uint32_t>(
+        mesh_.route_xy(static_cast<CoreId>(node), dst));
+  }
 
   Mesh mesh_;
   NetworkParams params_;
-  std::vector<VcFifo> fifos_;  // node x port x vnet
-  // Output locks: for each (node, out-port, vnet), the packet currently
-  // streaming, or UINT64_MAX.
-  std::vector<std::uint64_t> out_lock_;
-  // Rotating round-robin priority per (node, out-port).
-  std::vector<std::uint32_t> rr_state_;
+  std::uint32_t vnets_ = 0;
+  std::uint32_t candidates_ = 0;  // kNumDirections * vnets_
+  std::uint32_t depth_ = 0;
+
+  // Static tables, per (node, output): the neighbour the output links to
+  // (the node itself for kLocal, kNoCore at a mesh edge), the index of
+  // the downstream input FIFO for vnet 0, and that FIFO's candidate
+  // number at the neighbour.  Per candidate: its vnet.
+  std::vector<CoreId> neighbour_;
+  std::vector<std::size_t> down_fifo_;
+  std::vector<std::uint32_t> down_cand_;
+  std::vector<std::uint32_t> cand_vnet_;
+  /// Bit i*num_vnets for every port i: multiplying a per-vnet mask by it
+  /// copies the mask onto every input port's candidates.
+  std::uint64_t spread_ = 0;
+  std::uint64_t vnet_mask_ = 0;
+
+  // Per FIFO (node x port x vnet).  Ports 1..4 are rings of depth_ flits
+  // in slots_; port 0 (kLocal) is the node's injection queue, whose ring
+  // entries stay unused.
+  std::vector<Ring> rings_;
+  std::vector<Flit> slots_;
+  /// The output the FIFO's front flit heads for: a head's XY route, or —
+  /// for the body and tail flits behind it — the output that head locked.
+  /// Valid while the FIFO is non-empty; kept across empty spells, since
+  /// the next flit to arrive behind a granted head follows its lock.
+  std::vector<std::uint8_t> front_out_;
+  /// Flit traversals per (node, out-port, vnet); same layout as the
+  /// FIFOs.  Only non-local ports accumulate (ejection is not a shared
+  /// resource).
+  std::vector<std::uint64_t> link_flits_;
+
+  // Per (node, vnet): the injection queues.
+  std::vector<SourceQueue> source_;
   std::vector<PacketState> packets_;
+  std::uint32_t free_packet_ = kNone;  // recycled slot list
+
+  // Per node, candidate bits (in_port * num_vnets + vn):
+  //   occupancy_ — the FIFO is non-empty (idle routers are skipped);
+  //   heads_     — its front flit is a head (needs the output's lock);
+  //   full_      — its ring holds vc_depth flits (no room upstream);
+  //   fresh_     — its front entered this cycle (cannot move until the
+  //                next one; cleared at every step).
+  // And wormhole locks, bit (out_port * num_vnets + vn): set while a
+  // packet streams through that output.
+  std::vector<std::uint64_t> occupancy_;
+  std::vector<std::uint64_t> heads_;
+  std::vector<std::uint64_t> full_;
+  std::vector<std::uint64_t> fresh_;
+  std::vector<std::uint64_t> locks_;
+  /// Per (node, output), candidate bits: the non-empty FIFOs whose front
+  /// flit heads for this output.  Every non-empty FIFO has its bit in
+  /// exactly one output's mask; the union over a node's outputs is its
+  /// occupancy mask.
+  std::vector<std::uint64_t> want_;
+  /// Per (node, output): the candidate the rotating round-robin priority
+  /// probes first (one past the last grant, wrapped).
+  std::vector<std::uint32_t> rr_;
+
+  // step() scratch: FIFOs of the router being arbitrated that already
+  // moved a flit this cycle (an input FIFO feeds the switch at most one
+  // flit per cycle; the exhaustive probe checks it, the masked arbiter
+  // snapshots the wants instead), and whether any flit moved anywhere.
+  std::uint64_t popped_ = 0;
+  bool any_movement_ = false;
+
   std::vector<Delivery> delivered_;
   std::vector<RunningStat> latency_;
-  /// Flit traversals per (node, out-port, vnet); same layout as fifos_.
-  /// Only non-local ports accumulate (ejection is not a shared resource).
-  std::vector<std::uint64_t> link_flits_;
-  /// Per-node occupancy bitmask: bit (in_port * num_vnets + vn) set iff
-  /// that input FIFO is non-empty.  Maintained on every push/pop so the
-  /// masked arbiter can skip whole idle routers without touching their
-  /// FIFOs.  Always equals the union of the node's five want masks.
-  std::vector<std::uint64_t> occupancy_;
-  /// Per-(node, output) want bitmask, same bit layout: the candidates
-  /// whose front flit heads for this output.  Every non-empty FIFO has
-  /// its bit in exactly one output's mask; maintained at front changes.
-  std::vector<std::uint64_t> want_;
-  /// Per-step scratch, same bit layout: FIFOs that already moved a flit
-  /// this cycle (an input FIFO feeds the switch at most one flit/cycle).
-  std::vector<std::uint64_t> popped_;
   Cycle now_ = 0;
   std::uint64_t in_flight_ = 0;
   std::uint64_t flit_hops_ = 0;

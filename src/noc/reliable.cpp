@@ -123,9 +123,7 @@ void ReliableNetwork::on_eject(const Delivery& d) {
 
 void ReliableNetwork::step() {
   net_.step();
-  for (const Delivery& d : net_.drain_delivered()) {
-    on_eject(d);
-  }
+  net_.drain_delivered([this](const Delivery& d) { on_eject(d); });
   while (!timers_.empty() && timers_.top().deadline <= net_.now()) {
     const Timeout t = timers_.top();
     timers_.pop();

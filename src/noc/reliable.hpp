@@ -62,6 +62,17 @@ class ReliableNetwork {
   /// latency includes every retransmission round.
   std::vector<Delivery> drain_delivered();
 
+  /// Calls `f(const Delivery&)` for each application-level delivery since
+  /// the last drain, then forgets them (keeping the buffer's capacity).
+  /// `f` must not re-enter the transport.
+  template <typename F>
+  void drain_delivered(F&& f) {
+    for (const Delivery& d : delivered_app_) {
+      f(d);
+    }
+    delivered_app_.clear();
+  }
+
   Cycle now() const noexcept { return net_.now(); }
   /// Fully quiesced: nothing unacknowledged and the fabric is empty.
   bool idle() const noexcept { return live_ == 0 && net_.idle(); }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/types.hpp"
@@ -44,6 +45,13 @@ class TrafficSink {
                          std::uint64_t payload_bits) = 0;
 };
 
+/// Whether a run loop may end a recorded run early (see
+/// TrafficRecorder::complete).
+enum class CaptureStop : bool {
+  kRunToEnd,   ///< recording never changes the run: it always completes
+  kWhenFinal,  ///< the run exists only for its packets: stop once final
+};
+
 /// Accumulating sink used by the calibration pass.  The machine appends
 /// packets without timestamps; after each access the run loop calls
 /// stamp() to assign the issuing thread's virtual clock to everything
@@ -60,8 +68,11 @@ class TrafficSink {
 class TrafficRecorder final : public TrafficSink {
  public:
   /// `cap` = 0 records everything (the estimated path integrates the
-  /// whole run); the measured path caps at its calibration budget.
-  explicit TrafficRecorder(std::uint64_t cap = 0) : cap_(cap) {}
+  /// whole run); the measured path caps at its calibration budget and
+  /// passes CaptureStop::kWhenFinal, since it discards the run's report.
+  explicit TrafficRecorder(std::uint64_t cap = 0,
+                           CaptureStop stop = CaptureStop::kRunToEnd)
+      : cap_(cap), stop_(stop) {}
 
   void on_packet(CoreId src, CoreId dst, std::int32_t vn,
                  std::uint64_t payload_bits) override {
@@ -79,6 +90,20 @@ class TrafficRecorder final : public TrafficSink {
     }
   }
 
+  /// Asked by the run loops after each round-robin round, with
+  /// `min_clock` the smallest virtual clock, after the round, among the
+  /// threads that had an access in it: true iff the loop may stop because
+  /// no packet it could still record can enter the kept set.  That holds
+  /// once min_clock reaches the stamp T of the cap-th earliest packet at
+  /// the last compaction: per-thread clocks never decrease, so every
+  /// later packet is stamped >= T, and it loses the tie to the cap
+  /// packets already at or before T because it is recorded after them.
+  /// Never true for CaptureStop::kRunToEnd, nor, while any thread still
+  /// runs, before the first compaction.
+  bool complete(Cycle min_clock) const noexcept {
+    return stop_ == CaptureStop::kWhenFinal && min_clock >= final_at_;
+  }
+
   std::vector<TrafficEvent>& events() noexcept { return events_; }
   const std::vector<TrafficEvent>& events() const noexcept {
     return events_;
@@ -92,9 +117,14 @@ class TrafficRecorder final : public TrafficSink {
                      });
     events_.resize(static_cast<std::size_t>(cap_));
     stamped_ = events_.size();
+    final_at_ = events_.back().when;
   }
 
   std::uint64_t cap_ = 0;
+  CaptureStop stop_ = CaptureStop::kRunToEnd;
+  /// Stamp of the cap-th earliest packet as of the last compaction;
+  /// unreachable until the first one.
+  Cycle final_at_ = std::numeric_limits<Cycle>::max();
   std::vector<TrafficEvent> events_;
   std::size_t stamped_ = 0;
 };

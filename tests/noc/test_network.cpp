@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace em2 {
@@ -192,63 +194,132 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetworkStorm, ::testing::Range(1, 9));
 // occupancy_mask) must be an invisible optimization: step for step it
 // grants exactly what the exhaustive reference probe grants.  Drive both
 // fabrics with identical randomized traffic — bursty injections, mixed
-// flit counts, every vnet, saturating phases — and diff everything
-// observable each cycle.
+// flit counts, every vnet, saturating phases, and a source-backlog phase
+// in which one core queues dozens of 9-flit packets per vnet — on an 8x8
+// mesh at every buffer depth from a single slot up, and diff everything
+// observable each cycle plus every per-(link, vnet) counter at the end.
 TEST(Network, MaskedArbiterIsBitIdenticalToExhaustiveProbe) {
-  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
-    const Mesh mesh(4, 4);
-    NetworkParams masked = default_params();
-    masked.occupancy_mask = true;
-    NetworkParams exhaustive = default_params();
-    exhaustive.occupancy_mask = false;
-    Network a(mesh, masked);
-    Network b(mesh, exhaustive);
-    Rng rng(seed);
-    std::uint64_t id = 0;
-    for (int cycle = 0; cycle < 3000; ++cycle) {
-      // Bursty: some cycles inject several packets, long gaps between.
-      if (rng.next_bool(0.35)) {
-        const int burst = 1 + static_cast<int>(rng.next_below(4));
-        for (int k = 0; k < burst; ++k) {
-          Packet p;
-          p.id = ++id;
-          p.src = static_cast<CoreId>(rng.next_below(16));
-          p.dst = static_cast<CoreId>(rng.next_below(16));
-          p.vnet = static_cast<std::int32_t>(
-              rng.next_below(vnet::kNumVnets));
-          p.flits = 1 + static_cast<std::int32_t>(rng.next_below(9));
-          a.inject(p);
-          b.inject(p);
+  const Mesh mesh(8, 8);
+  const int cores = mesh.num_cores();
+  for (const std::int32_t depth : {1, 2, 4}) {
+    for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+      SCOPED_TRACE("vc_depth " + std::to_string(depth) + " seed " +
+                   std::to_string(seed));
+      NetworkParams masked = default_params();
+      masked.vc_depth = depth;
+      masked.occupancy_mask = true;
+      NetworkParams exhaustive = masked;
+      exhaustive.occupancy_mask = false;
+      Network a(mesh, masked);
+      Network b(mesh, exhaustive);
+      Rng rng(seed);
+      std::uint64_t id = 0;
+      const auto inject_both = [&](const Packet& p) {
+        a.inject(p);
+        b.inject(p);
+      };
+      for (int cycle = 0; cycle < 3000; ++cycle) {
+        // Bursty: some cycles inject several packets, long gaps between.
+        if (rng.next_bool(0.35)) {
+          const int burst = 1 + static_cast<int>(rng.next_below(6));
+          for (int k = 0; k < burst; ++k) {
+            Packet p;
+            p.id = ++id;
+            p.src = static_cast<CoreId>(rng.next_below(cores));
+            p.dst = static_cast<CoreId>(rng.next_below(cores));
+            p.vnet = static_cast<std::int32_t>(
+                rng.next_below(vnet::kNumVnets));
+            p.flits = 1 + static_cast<std::int32_t>(rng.next_below(9));
+            inject_both(p);
+          }
+        }
+        // Source backlog: every 500 cycles one core dumps a burst of
+        // context-sized packets, so its injection queues hold dozens.
+        if (cycle % 500 == 250) {
+          const auto src = static_cast<CoreId>(rng.next_below(cores));
+          for (int k = 0; k < 60; ++k) {
+            Packet p;
+            p.id = ++id;
+            p.src = src;
+            p.dst = static_cast<CoreId>(rng.next_below(cores));
+            p.vnet = k % 2;
+            p.flits = 9;
+            inject_both(p);
+          }
+        }
+        a.step();
+        b.step();
+        ASSERT_EQ(a.packets_in_flight(), b.packets_in_flight())
+            << "cycle " << cycle;
+        ASSERT_EQ(a.flit_hops(), b.flit_hops()) << "cycle " << cycle;
+        const auto da = a.drain_delivered();
+        const auto db = b.drain_delivered();
+        ASSERT_EQ(da.size(), db.size()) << "cycle " << cycle;
+        for (std::size_t i = 0; i < da.size(); ++i) {
+          // Same packets, same order, same timing: arbitration parity.
+          ASSERT_EQ(da[i].packet.id, db[i].packet.id) << "cycle " << cycle;
+          ASSERT_EQ(da[i].injected, db[i].injected) << "cycle " << cycle;
+          ASSERT_EQ(da[i].delivered, db[i].delivered) << "cycle " << cycle;
         }
       }
-      a.step();
-      b.step();
-      ASSERT_EQ(a.packets_in_flight(), b.packets_in_flight())
-          << "seed " << seed << " cycle " << cycle;
-      ASSERT_EQ(a.flit_hops(), b.flit_hops())
-          << "seed " << seed << " cycle " << cycle;
-      const auto da = a.drain_delivered();
-      const auto db = b.drain_delivered();
-      ASSERT_EQ(da.size(), db.size())
-          << "seed " << seed << " cycle " << cycle;
-      for (std::size_t i = 0; i < da.size(); ++i) {
-        // Same packets, same order, same timing: arbitration parity.
-        EXPECT_EQ(da[i].packet.id, db[i].packet.id);
-        EXPECT_EQ(da[i].injected, db[i].injected);
-        EXPECT_EQ(da[i].delivered, db[i].delivered);
+      ASSERT_TRUE(a.run_until_drained(200000));
+      ASSERT_TRUE(b.run_until_drained(200000));
+      EXPECT_EQ(a.now(), b.now());
+      EXPECT_EQ(a.flit_hops(), b.flit_hops());
+      // Terminal state parity: the per-(link, vnet) flit counters feed
+      // the contention calibration, so every one must match exactly.
+      for (CoreId node = 0; node < cores; ++node) {
+        for (int out = 1; out < kNumDirections; ++out) {
+          for (int vn = 0; vn < vnet::kNumVnets; ++vn) {
+            const auto dir = static_cast<Direction>(out);
+            ASSERT_EQ(a.link_flits(node, dir, vn), b.link_flits(node, dir, vn))
+                << "node " << node << " out " << out << " vnet " << vn;
+          }
+        }
       }
+      const FabricUtilization ua = a.utilization();
+      const FabricUtilization ub = b.utilization();
+      EXPECT_EQ(ua.flits_by_vnet, ub.flits_by_vnet);
+      EXPECT_EQ(ua.seen_by_vnet, ub.seen_by_vnet);
+      EXPECT_EQ(ua.peak, ub.peak);
     }
-    ASSERT_TRUE(a.run_until_drained(100000));
-    ASSERT_TRUE(b.run_until_drained(100000));
-    // Terminal state parity: per-(link, vnet) flit counters feed the
-    // contention calibration, so the utilization must match exactly.
-    const FabricUtilization ua = a.utilization();
-    const FabricUtilization ub = b.utilization();
-    EXPECT_EQ(a.flit_hops(), b.flit_hops());
-    EXPECT_EQ(ua.flits_by_vnet, ub.flits_by_vnet);
-    EXPECT_EQ(ua.seen_by_vnet, ub.seen_by_vnet);
-    EXPECT_EQ(ua.peak, ub.peak);
   }
+}
+
+TEST(Network, DrainingEveryStepSeesEveryDeliveryOnce) {
+  // The visitor drain keeps nothing between steps: summing per step
+  // equals summing one drain at the end.
+  const Mesh mesh(4, 4);
+  Network stepwise(mesh, default_params());
+  Network at_end(mesh, default_params());
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    Packet p;
+    p.id = static_cast<std::uint64_t>(i);
+    p.src = static_cast<CoreId>(rng.next_below(16));
+    p.dst = static_cast<CoreId>(rng.next_below(16));
+    p.vnet = static_cast<std::int32_t>(rng.next_below(vnet::kNumVnets));
+    p.flits = 1 + static_cast<std::int32_t>(rng.next_below(9));
+    stepwise.inject(p);
+    at_end.inject(p);
+  }
+  std::uint64_t seen = 0;
+  Cycle latency = 0;
+  while (!stepwise.idle()) {
+    stepwise.step();
+    stepwise.drain_delivered([&](const Delivery& d) {
+      ++seen;
+      latency += d.delivered - d.injected;
+    });
+  }
+  ASSERT_TRUE(at_end.run_until_drained(100000));
+  Cycle want = 0;
+  for (const Delivery& d : at_end.drain_delivered()) {
+    want += d.delivered - d.injected;
+  }
+  EXPECT_EQ(seen, 200u);
+  EXPECT_EQ(latency, want);
+  EXPECT_TRUE(stepwise.drain_delivered().empty());
 }
 
 }  // namespace
