@@ -19,6 +19,8 @@
 //   --skip-scan             only run the event-driven scheduler (CI smoke)
 //   --arch=em2|em2ra|cc     memory architecture, default em2
 //   --json                  one flat JSON object per scheduler row
+//                           (accesses_per_sec counts each thread's loads
+//                           plus its one result store)
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -89,8 +91,10 @@ bool reports_match(const em2::ExecReport& a, const em2::ExecReport& b) {
 }
 
 void emit(const char* sched, const RunResult& r, em2::MemArch arch,
-          std::int32_t cores, std::int32_t threads, bool json,
-          double speedup, bool equivalent) {
+          std::int32_t cores, std::int32_t threads, std::int32_t blocks,
+          bool json, double speedup, bool equivalent) {
+  // Every thread loads `blocks` words and stores its sum once.
+  const double accesses = static_cast<double>(threads) * (blocks + 1);
   if (json) {
     em2::JsonWriter w;
     w.add("bench", "exec_scaling")
@@ -98,6 +102,7 @@ void emit(const char* sched, const RunResult& r, em2::MemArch arch,
         .add("arch", em2::to_string(arch))
         .add("cores", static_cast<std::int64_t>(cores))
         .add("threads", static_cast<std::int64_t>(threads))
+        .add("blocks_per_thread", static_cast<std::int64_t>(blocks))
         .add("cycles", r.report.cycles)
         .add("instructions", r.report.instructions)
         .add("consistent", r.report.consistent)
@@ -106,7 +111,9 @@ void emit(const char* sched, const RunResult& r, em2::MemArch arch,
         .add("sim_cycles_per_sec",
              r.seconds > 0.0
                  ? static_cast<double>(r.report.cycles) / r.seconds
-                 : 0.0);
+                 : 0.0)
+        .add("accesses_per_sec",
+             r.seconds > 0.0 ? accesses / r.seconds : 0.0);
     if (speedup > 0.0) {
       w.add("speedup_vs_scan", speedup)
           .add("reports_identical", equivalent);
@@ -158,7 +165,7 @@ int main(int argc, char** argv) {
   const RunResult event = run_once(em2::SchedulerKind::kEventDriven, arch,
                                    cores, threads, blocks, max_cycles);
   if (skip_scan) {
-    emit("event", event, arch, cores, threads, json, 0.0, false);
+    emit("event", event, arch, cores, threads, blocks, json, 0.0, false);
     return event.report.consistent ? 0 : 1;
   }
 
@@ -167,8 +174,9 @@ int main(int argc, char** argv) {
   const bool equivalent = reports_match(scan.report, event.report);
   const double speedup =
       event.seconds > 0.0 ? scan.seconds / event.seconds : 0.0;
-  emit("scan", scan, arch, cores, threads, json, 0.0, false);
-  emit("event", event, arch, cores, threads, json, speedup, equivalent);
+  emit("scan", scan, arch, cores, threads, blocks, json, 0.0, false);
+  emit("event", event, arch, cores, threads, blocks, json, speedup,
+       equivalent);
   if (!equivalent) {
     std::fprintf(stderr,
                  "ERROR: event-driven report diverged from scan report\n");

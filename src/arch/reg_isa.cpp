@@ -4,15 +4,6 @@
 
 namespace em2 {
 
-std::uint32_t FunctionalMemory::load(Addr addr) const {
-  const auto it = mem_.find(addr);
-  return it == mem_.end() ? 0u : it->second;
-}
-
-void FunctionalMemory::store(Addr addr, std::uint32_t value) {
-  mem_[addr] = value;
-}
-
 RegInterpreter::RegInterpreter(RProgram program)
     : program_(std::move(program)) {}
 

@@ -8,12 +8,15 @@
 // migrating hardware context has: compute locally, stall at memory.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "arch/context.hpp"
+#include "util/page_table.hpp"
 #include "util/types.hpp"
 
 namespace em2 {
@@ -77,22 +80,46 @@ struct StepResult {
 };
 
 /// Functional (value-carrying) word memory shared by the interpreters.
-/// Sparse; unwritten words read as zero.
+/// Sparse; unwritten words read as zero.  Each distinct byte address is
+/// its own 32-bit cell (an unaligned address does not alias the aligned
+/// word around it), stored in pages of kWordsPerPage cells
+/// (util/page_table.hpp).
 class FunctionalMemory {
  public:
-  std::uint32_t load(Addr addr) const;
-  void store(Addr addr, std::uint32_t value);
-  std::size_t words_written() const noexcept { return mem_.size(); }
-  /// Snapshot view of every written word, keyed by word-aligned address
+  std::uint32_t load(Addr addr) const {
+    const Page* p = pages_.find(word_page_key(addr));
+    return p == nullptr ? 0u : p->word[word_cell(addr)];
+  }
+  void store(Addr addr, std::uint32_t value) {
+    Page& p = pages_.get(word_page_key(addr));
+    const auto bit = static_cast<std::uint8_t>(1u << word_cell(addr));
+    if ((p.written & bit) == 0) {
+      p.written = static_cast<std::uint8_t>(p.written | bit);
+      ++words_;
+    }
+    p.word[word_cell(addr)] = value;
+  }
+  std::size_t words_written() const noexcept { return words_; }
+  /// Visits every written word as f(addr, value), in no particular order
   /// — the sharded engines fold owner-shard partitions back into the
-  /// system memory from this after a run.
-  const std::unordered_map<Addr, std::uint32_t>& words() const noexcept {
-    return mem_;
+  /// system memory through this after a run.
+  template <typename F>
+  void for_each_word(F&& f) const {
+    pages_.for_each([&](std::uint64_t key, const Page& p) {
+      for (std::uint32_t m = p.written; m != 0; m &= m - 1) {
+        const auto cell = static_cast<std::size_t>(std::countr_zero(m));
+        f(word_addr(key, cell), p.word[cell]);
+      }
+    });
   }
 
  private:
-  // Word-granular sparse storage keyed by word-aligned address.
-  std::unordered_map<Addr, std::uint32_t> mem_;
+  struct Page {
+    std::array<std::uint32_t, kWordsPerPage> word{};
+    std::uint8_t written = 0;  // bit c: cell c was stored to
+  };
+  PageTable<Page> pages_;
+  std::size_t words_ = 0;
 };
 
 /// Executes RPrograms one instruction at a time against an
@@ -127,6 +154,11 @@ class RegInterpreter {
 class RAsm {
  public:
   RAsm& nop() { return emit({ROp::kNop, 0, 0, 0, 0}); }
+  /// Appends `n` nops in one step.
+  RAsm& nops(std::size_t n) {
+    program_.resize(program_.size() + n);  // RInstr{} is a nop
+    return *this;
+  }
   RAsm& halt() { return emit({ROp::kHalt, 0, 0, 0, 0}); }
   RAsm& addi(std::uint8_t rd, std::uint8_t rs, std::int32_t imm) {
     return emit({ROp::kAddi, rd, rs, 0, imm});
@@ -169,7 +201,14 @@ class RAsm {
     program_[static_cast<std::size_t>(index)].imm = imm;
     return *this;
   }
-  RProgram build() const { return program_; }
+  /// Pre-sizes the program for `n` instructions.
+  RAsm& reserve(std::size_t n) {
+    program_.reserve(n);
+    return *this;
+  }
+  RProgram build() const& { return program_; }
+  /// Moves the program out (the builder is consumed).
+  RProgram build() && { return std::move(program_); }
   std::int32_t here() const noexcept {
     return static_cast<std::int32_t>(program_.size());
   }

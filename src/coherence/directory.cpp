@@ -103,7 +103,6 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
   counters_.inc(Counter::kAccesses);
   CcAccessResult result;
   const Addr line = line_of(addr);
-  const CoreId home = placement_.home_of_block(line);
   Cache& cache = *caches_[static_cast<std::size_t>(core)];
   const auto state_byte = cache.state_of(line);
   const MsiState cstate =
@@ -125,8 +124,9 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
     counters_.inc(Counter::kHits);
     result.hit = true;
   } else if (op == MemOp::kRead) {
-    // Read miss: GetS to the directory.
+    // Read miss: GetS to the directory.  Only misses consult the home.
     counters_.inc(Counter::kMisses);
+    const CoreId home = placement_.home_of_block(line);
     latency += send(core, home, addr_bits, Counter::kGetS) + params_.dir_latency;
     DirEntry& entry = dir_entry(line);
     if (entry.state == MsiState::kModified) {
@@ -164,6 +164,7 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
   } else {
     // Write miss or upgrade: GetM/Upgrade to the directory.
     counters_.inc(Counter::kMisses);
+    const CoreId home = placement_.home_of_block(line);
     const bool upgrade = cstate == MsiState::kShared;
     latency += send(core, home, addr_bits, upgrade ? Counter::kUpgrade : Counter::kGetM) +
                params_.dir_latency;

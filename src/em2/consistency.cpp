@@ -17,7 +17,7 @@ void ConsistencyChecker::on_store(ThreadId thread, Addr addr,
                                   CoreId home) {
   ++checked_;
   check_home(thread, addr, at, home);
-  last_value_[addr] = value;
+  last_value_.get(word_page_key(addr))[word_cell(addr)] = value;
 }
 
 void ConsistencyChecker::on_load(ThreadId thread, Addr addr,
@@ -25,8 +25,9 @@ void ConsistencyChecker::on_load(ThreadId thread, Addr addr,
                                  CoreId home) {
   ++checked_;
   check_home(thread, addr, at, home);
-  const auto it = last_value_.find(addr);
-  const std::uint32_t expected = it == last_value_.end() ? 0u : it->second;
+  const auto* page = last_value_.find(word_page_key(addr));
+  const std::uint32_t expected =
+      page == nullptr ? 0u : (*page)[word_cell(addr)];
   if (value != expected) {
     violations_.push_back(ConsistencyViolation{
         "load returned " + std::to_string(value) + " but the latest store "

@@ -10,12 +10,12 @@
 // home core (the EM2 single-home invariant the proof rests on).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "util/page_table.hpp"
 #include "util/types.hpp"
 
 namespace em2 {
@@ -50,7 +50,11 @@ class ConsistencyChecker {
  private:
   void check_home(ThreadId thread, Addr addr, CoreId at, CoreId home);
 
-  std::unordered_map<Addr, std::uint32_t> last_value_;
+  /// Latest stored value per byte address (0 = never written).  The
+  /// witness keeps its own cells and never reads the functional memory
+  /// it checks, so an indexing bug on the memory side still surfaces as
+  /// a violation here.
+  PageTable<std::array<std::uint32_t, kWordsPerPage>> last_value_;
   std::vector<ConsistencyViolation> violations_;
   std::uint64_t checked_ = 0;
 };

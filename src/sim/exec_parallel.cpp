@@ -3,16 +3,16 @@
 // Two engines live here, selected by ExecParams::skew:
 //
 //   Exact mode (skew == 0, run_event_parallel)
-//     The mesh's ready cores are drained once per cycle into an ascending
-//     issue list; a worker pool SPECULATES each core's instruction step on
-//     a private context copy (RegInterpreter::step is const and writes
-//     only the context it is given), then a serial commit walk replays the
-//     sequential event scheduler's exact pop order, validating each
-//     speculation by re-running the round-robin selection.  A mismatch
-//     (an earlier commit changed readiness or residency) falls back to a
-//     serial step.  The result is BIT-IDENTICAL to run_event by
-//     construction — the commit walk performs the same operations in the
-//     same order; speculation only pre-computes pure values.
+//     At each cycle's start a worker pool SPECULATES every ready core's
+//     instruction step on a private context copy (RegInterpreter::step is
+//     const and writes only the context it is given).  Then run_event's
+//     own serial walk (issue_cycle) steps the cycle, adopting a
+//     speculation wherever its round-robin pick matches; a mismatch (an
+//     earlier step changed readiness or residency) or a core readied
+//     mid-cycle steps serially.  The result is BIT-IDENTICAL to run_event
+//     by construction — the walk is the same code performing the same
+//     operations in the same order; speculation only pre-computes pure
+//     values.
 //
 //   Relaxed mode (skew > 0, RelaxedEngine)
 //     The mesh is partitioned into contiguous shards, each with its own
@@ -115,14 +115,6 @@ class SpinPool {
   std::vector<std::thread> threads_;
 };
 
-/// One speculated instruction step (exact mode).
-struct Spec {
-  CoreId core = kNoCore;
-  ThreadId chosen = kNoThread;
-  StepResult res{};
-  ExecutionContext ctx{};
-};
-
 /// Below this many issuing cores the fork/join round trip costs more than
 /// the interpreter steps it parallelizes; speculate inline instead (the
 /// results are identical either way — only wall-clock changes).
@@ -136,175 +128,45 @@ constexpr Cycle kFarFuture = std::numeric_limits<Cycle>::max();
 // Exact mode: speculate in parallel, commit in sequential order.
 
 void ExecSystem::run_event_parallel(Cycle max_cycles, std::uint32_t nshards) {
-  const std::size_t n_threads = threads_.size();
   init_event_structures();
-
   const ThreadBudgetLease lease(nshards - 1);
   SpinPool pool(lease.granted());
-
   std::vector<CoreId> issue;
   std::vector<Spec> specs;
 
-  while (halted_count_ < n_threads) {
-    // --- Cycle top: verbatim from run_event (serial). ---
-    if (now_ >= max_cycles) {
-      break;
-    }
-    if (num_ready_ == 0) {
-      while (!wakeups_.empty()) {
-        const Wakeup& w = wakeups_.top();
-        const Thread& th = threads_[static_cast<std::size_t>(w.thread)];
-        if (!th.halted && th.ready_at == w.at) {
-          break;
-        }
-        wakeups_.pop();
-      }
-      std::uint64_t wake = wakeups_.empty()
-                               ? FaultInjector::kNever
-                               : static_cast<std::uint64_t>(
-                                     wakeups_.top().at);
-      if (faults_ != nullptr) {
-        wake = std::min(wake, faults_->next_failure_at());
-      }
-      if (params_.watchdog_cycles > 0) {
-        wake = std::min(wake, static_cast<std::uint64_t>(
-                                  last_progress_ + params_.watchdog_cycles));
-      }
-      EM2_ASSERT(wake != FaultInjector::kNever,
-                 "live threads but no pending wakeup: scheduler would hang");
-      if (wake > static_cast<std::uint64_t>(max_cycles)) {
-        now_ = max_cycles;
-        break;
-      }
-      now_ = static_cast<Cycle>(wake);
-    } else {
-      ++now_;
-    }
-    if (params_.watchdog_cycles > 0 &&
-        now_ - last_progress_ >= params_.watchdog_cycles) {
-      fire_watchdog("no instruction retired within the watchdog window");
-      break;
-    }
-    fault_tick();
-
-    while (!wakeups_.empty() && wakeups_.top().at <= now_) {
-      const Wakeup w = wakeups_.top();
-      wakeups_.pop();
-      const Thread& th = threads_[static_cast<std::size_t>(w.thread)];
-      if (th.halted || is_ready_[static_cast<std::size_t>(w.thread)] ||
-          th.ready_at != w.at) {
-        continue;
-      }
-      mark_ready(w.thread);
-    }
-
-    // --- Pre-drain: the cycle's issuing cores, in ascending order. ---
-    // queued_ stays 1 for every listed core until its commit moment, so a
-    // mid-commit core_gains_ready cannot push a duplicate heap entry — the
-    // commit walk's merged order is exactly the sequential pop order.
-    issue.clear();
-    while (!ready_cores_.empty()) {
-      const CoreId core = ready_cores_.top();
-      ready_cores_.pop();
-      const auto c = static_cast<std::size_t>(core);
-      if (ready_count_[c] == 0) {
-        queued_[c] = 0;  // stale: went unready since it was queued
-        continue;
-      }
-      issue.push_back(core);
-    }
-
-    // --- Phase A: speculate every listed core's step in parallel. ---
+  while (begin_event_cycle(max_cycles)) {
+    // --- Phase A: speculate every ready core's step in parallel. ---
     // Pure reads of scheduler state plus a const interpreter step on a
     // private context copy; fault stall draws are NOT consulted here (they
     // are accounting-bearing and belong to the commit walk).
-    specs.resize(issue.size());
+    issue.clear();
+    for (CoreId core = q_.ready_cores.next_after(-1); core != kNoCore;
+         core = q_.ready_cores.next_after(core)) {
+      issue.push_back(core);
+    }
+    specs.resize(issue.size());  // reuses the slots of earlier cycles
     const auto speculate = [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
         Spec& sp = specs[i];
         sp.core = issue[i];
-        sp.chosen = select_ready_resident(sp.core);
+        sp.chosen = select_ready_resident(q_, sp.core);
         EM2_ASSERT(sp.chosen != kNoThread,
-                   "ready-core heap out of sync with resident queues");
+                   "ready-core set out of sync with resident queues");
         const Thread& th = threads_[static_cast<std::size_t>(sp.chosen)];
         sp.ctx = th.ctx;
         sp.res = th.interp->step(sp.ctx);
       }
     };
-    if (issue.size() < kSpeculateInlineCutoff || pool.parts() == 1) {
-      speculate(0, issue.size());
+    if (specs.size() < kSpeculateInlineCutoff || pool.parts() == 1) {
+      speculate(0, specs.size());
     } else {
       pool.run([&](std::size_t part, std::size_t nparts) {
-        const std::size_t lo = issue.size() * part / nparts;
-        const std::size_t hi = issue.size() * (part + 1) / nparts;
-        speculate(lo, hi);
+        speculate(specs.size() * part / nparts,
+                  specs.size() * (part + 1) / nparts);
       });
     }
-
-    // --- Phase B: serial commit walk in sequential pop order. ---
-    // Merge the pre-drained list with entries pushed into the heap by the
-    // commits themselves (a migration landing on a later core this cycle).
-    // A pending listed core can never also be in the heap (queued_ guard),
-    // so "heap top < next listed core" reproduces the exact order the
-    // sequential walk would pop.
-    CoreId cursor = -1;
-    deferred_.clear();
-    std::size_t si = 0;
-    while (si < specs.size() || !ready_cores_.empty()) {
-      const bool take_heap =
-          !ready_cores_.empty() &&
-          (si >= specs.size() || ready_cores_.top() < specs[si].core);
-      CoreId core;
-      const Spec* sp = nullptr;
-      if (take_heap) {
-        core = ready_cores_.top();
-        ready_cores_.pop();
-      } else {
-        sp = &specs[si++];
-        core = sp->core;
-      }
-      const auto c = static_cast<std::size_t>(core);
-      queued_[c] = 0;
-      if (ready_count_[c] == 0) {
-        continue;  // went unready under an earlier commit
-      }
-      if (core <= cursor) {
-        deferred_.push_back(core);
-        continue;
-      }
-      cursor = core;
-      if (faults_ != nullptr && faults_->core_stalled(core, now_)) {
-        deferred_.push_back(core);
-        continue;
-      }
-      const ThreadId chosen = select_ready_resident(core);
-      EM2_ASSERT(chosen != kNoThread,
-                 "ready-core heap out of sync with resident queues");
-      rr_[c] = static_cast<std::uint32_t>(chosen + 1);
-      if (sp != nullptr && chosen == sp->chosen) {
-        // The speculation targeted the thread the sequential scheduler
-        // picks, and nothing before this commit wrote its context (each
-        // thread steps at most once per cycle; accesses only touch the
-        // issuing thread's own context) — adopt the speculated step.
-        threads_[static_cast<std::size_t>(chosen)].ctx = sp->ctx;
-        finish_step(chosen, sp->res);
-      } else {
-        // Selection changed under an earlier commit (eviction re-homed a
-        // resident, or a latency-0 arrival outranked the speculated pick):
-        // fall back to the ordinary serial step.
-        step_thread(chosen);
-      }
-      if (ready_count_[c] > 0 && !queued_[c]) {
-        deferred_.push_back(core);
-      }
-    }
-    for (const CoreId core : deferred_) {
-      const auto c = static_cast<std::size_t>(core);
-      if (!queued_[c]) {
-        ready_cores_.push(core);
-        queued_[c] = 1;
-      }
-    }
+    // --- Phase B: run_event's serial walk, adopting valid speculations.
+    issue_cycle(specs);
   }
 }
 
@@ -313,7 +175,6 @@ void ExecSystem::run_event_parallel(Cycle max_cycles, std::uint32_t nshards) {
 
 struct RelaxedEngine {
   using Wakeup = ExecSystem::Wakeup;
-  using WakeupAfter = ExecSystem::WakeupAfter;
 
   /// Cross-shard traffic, queued at the source during a quantum and
   /// delivered at the barrier.
@@ -349,16 +210,9 @@ struct RelaxedEngine {
     FunctionalMemory memory;              // authoritative for in-range homes
     ConsistencyChecker checker;
     ShardObserver observer;
-    // Event-scheduler clone over the shard's core range (resident vectors
-    // are indexed core - begin; heaps hold global core / thread ids).
-    std::vector<std::vector<ThreadId>> residents;
-    std::vector<std::uint32_t> ready_count;
-    std::vector<char> queued;
-    std::priority_queue<CoreId, std::vector<CoreId>, std::greater<CoreId>>
-        ready_cores;
-    std::vector<CoreId> deferred;
-    std::priority_queue<Wakeup, std::vector<Wakeup>, WakeupAfter> wakeups;
-    std::size_t num_ready = 0;
+    // Event scheduler over the shard's core range (mesh-sized, but only
+    // in-range cores ever hold residents).
+    ExecSystem::EventQueues q;
     Cycle now = 0;
     Cycle last_progress = 0;
     std::uint64_t instructions = 0;
@@ -386,65 +240,8 @@ struct RelaxedEngine {
     return shards[shard_of_core[static_cast<std::size_t>(core)]];
   }
 
-  // --- Per-shard scheduler primitives (mirrors of the ExecSystem ones,
-  // over the shard-local ready structures). ---
-
-  void core_gains(Shard& s, CoreId core) {
-    const auto ci = static_cast<std::size_t>(core - s.begin);
-    if (s.ready_count[ci]++ == 0 && !s.queued[ci]) {
-      s.ready_cores.push(core);
-      s.queued[ci] = 1;
-    }
-  }
-
-  void core_loses(Shard& s, CoreId core) {
-    --s.ready_count[static_cast<std::size_t>(core - s.begin)];
-  }
-
-  void mark_ready(Shard& s, ThreadId t) {
-    sys.is_ready_[static_cast<std::size_t>(t)] = 1;
-    ++s.num_ready;
-    core_gains(s, sys.core_of_[static_cast<std::size_t>(t)]);
-  }
-
-  void mark_unready(Shard& s, ThreadId t) {
-    sys.is_ready_[static_cast<std::size_t>(t)] = 0;
-    --s.num_ready;
-    core_loses(s, sys.core_of_[static_cast<std::size_t>(t)]);
-  }
-
   void set_ready_at(Shard& s, ThreadId t, Cycle when) {
-    ExecSystem::Thread& th = sys.threads_[static_cast<std::size_t>(t)];
-    th.ready_at = when;
-    if (th.halted) {
-      return;
-    }
-    if (when > s.now) {
-      if (sys.is_ready_[static_cast<std::size_t>(t)]) {
-        mark_unready(s, t);
-      }
-      s.wakeups.push(Wakeup{when, t});
-    } else if (!sys.is_ready_[static_cast<std::size_t>(t)]) {
-      mark_ready(s, t);
-    }
-  }
-
-  ThreadId select_ready(const Shard& s, CoreId core) const {
-    const auto& res = s.residents[static_cast<std::size_t>(core - s.begin)];
-    const auto start = static_cast<ThreadId>(
-        sys.rr_[static_cast<std::size_t>(core)] % sys.threads_.size());
-    const auto pivot = std::lower_bound(res.begin(), res.end(), start);
-    for (auto it = pivot; it != res.end(); ++it) {
-      if (sys.is_ready_[static_cast<std::size_t>(*it)]) {
-        return *it;
-      }
-    }
-    for (auto it = res.begin(); it != pivot; ++it) {
-      if (sys.is_ready_[static_cast<std::size_t>(*it)]) {
-        return *it;
-      }
-    }
-    return kNoThread;
+    sys.set_ready_at(s.q, t, when, s.now);
   }
 
   /// ThreadMoveObserver body: keeps the shard's resident structures in
@@ -456,19 +253,15 @@ struct RelaxedEngine {
       sys.core_of_[static_cast<std::size_t>(t)] = to;
       return;
     }
-    auto& src = s.residents[static_cast<std::size_t>(from - s.begin)];
-    src.erase(std::lower_bound(src.begin(), src.end(), t));
+    s.q.remove_resident(from, t);
     if (to >= s.begin && to < s.end) {
-      auto& dst = s.residents[static_cast<std::size_t>(to - s.begin)];
-      dst.insert(std::lower_bound(dst.begin(), dst.end(), t), t);
+      s.q.add_resident(to, t);
       if (sys.is_ready_[static_cast<std::size_t>(t)]) {
-        core_loses(s, from);
-        core_gains(s, to);
+        s.q.lose(from);
+        s.q.gain(to);
       }
     } else if (sys.is_ready_[static_cast<std::size_t>(t)]) {
-      sys.is_ready_[static_cast<std::size_t>(t)] = 0;
-      --s.num_ready;
-      core_loses(s, from);
+      sys.mark_unready(s.q, t);  // core_of_ still names `from` here
     }
     sys.core_of_[static_cast<std::size_t>(t)] = to;
   }
@@ -512,10 +305,8 @@ struct RelaxedEngine {
   /// Removes a just-stepped (hence ready, resident) thread from the
   /// shard's scheduler ahead of a cross-shard transfer.
   void detach(Shard& s, ThreadId t, CoreId dest) {
-    mark_unready(s, t);
-    auto& res = s.residents[static_cast<std::size_t>(
-        sys.core_of_[static_cast<std::size_t>(t)] - s.begin)];
-    res.erase(std::lower_bound(res.begin(), res.end(), t));
+    sys.mark_unready(s.q, t);
+    s.q.remove_resident(sys.core_of_[static_cast<std::size_t>(t)], t);
     sys.core_of_[static_cast<std::size_t>(t)] = dest;
     sys.threads_[static_cast<std::size_t>(t)].ready_at = kFarFuture;
   }
@@ -572,7 +363,7 @@ struct RelaxedEngine {
       const Cost rt = s.hybrid->remote_access_cost(t, home, mem.op);
       // The thread stays resident but cannot retire the access until the
       // home shard serves it at the barrier (which sets the real ready_at).
-      mark_unready(s, t);
+      sys.mark_unready(s.q, t);
       sys.threads_[static_cast<std::size_t>(t)].ready_at = kFarFuture;
       s.outbox.push_back(Msg{Msg::Kind::kRemote, t, s.now, home, rt, mem});
     }
@@ -588,12 +379,9 @@ struct RelaxedEngine {
         th.halted = true;
         ++s.halted;
         sys.report_.finish_cycle[static_cast<std::size_t>(chosen)] = s.now;
-        mark_unready(s, chosen);
-        {
-          auto& res = s.residents[static_cast<std::size_t>(
-              sys.core_of_[static_cast<std::size_t>(chosen)] - s.begin)];
-          res.erase(std::lower_bound(res.begin(), res.end(), chosen));
-        }
+        sys.mark_unready(s.q, chosen);
+        s.q.remove_resident(sys.core_of_[static_cast<std::size_t>(chosen)],
+                            chosen);
         break;
       case StepKind::kMem:
         serve_mem(s, chosen, r.mem);
@@ -609,8 +397,8 @@ struct RelaxedEngine {
   /// check covers the in-flight window: a guest evicted to an out-of-range
   /// native mid-quantum keeps its owner (and possibly a stale stall
   /// wakeup) until the barrier ships it, but its core already points
-  /// outside the shard — scheduling it here would index the per-core
-  /// ready structures out of bounds.
+  /// outside the shard — scheduling it here would step it on a core this
+  /// shard does not own.
   bool wakeup_valid(const Shard& s, const Wakeup& w) const {
     if (owner[static_cast<std::size_t>(w.thread)] != s.index) {
       return false;
@@ -619,10 +407,7 @@ struct RelaxedEngine {
     if (core < s.begin || core >= s.end) {
       return false;
     }
-    const ExecSystem::Thread& th =
-        sys.threads_[static_cast<std::size_t>(w.thread)];
-    return !th.halted && !sys.is_ready_[static_cast<std::size_t>(w.thread)] &&
-           th.ready_at == w.at;
+    return sys.wakeup_live(w);
   }
 
   /// Advances one shard to `t_end` (the quantum covers (prev, t_end]).
@@ -630,56 +415,33 @@ struct RelaxedEngine {
   /// the coordinator handles the latter at barriers.
   void run_quantum(Shard& s, Cycle t_end) {
     while (s.now < t_end) {
-      if (s.num_ready == 0) {
-        while (!s.wakeups.empty() && !wakeup_valid(s, s.wakeups.top())) {
-          s.wakeups.pop();
+      if (s.q.num_ready == 0) {
+        while (!s.q.wakeups.empty() && !wakeup_valid(s, s.q.wakeups.top())) {
+          s.q.wakeups.pop();
         }
-        if (s.wakeups.empty() || s.wakeups.top().at > t_end) {
+        if (s.q.wakeups.empty() || s.q.wakeups.top().at > t_end) {
           s.now = t_end;  // idle to the barrier; messages may wake us later
           return;
         }
-        s.now = s.wakeups.top().at;
+        s.now = s.q.wakeups.top().at;
       } else {
         ++s.now;
       }
-      while (!s.wakeups.empty() && s.wakeups.top().at <= s.now) {
-        const Wakeup w = s.wakeups.top();
-        s.wakeups.pop();
+      while (!s.q.wakeups.empty() && s.q.wakeups.top().at <= s.now) {
+        const Wakeup w = s.q.wakeups.top();
+        s.q.wakeups.pop();
         if (wakeup_valid(s, w)) {
-          mark_ready(s, w.thread);
+          sys.mark_ready(s.q, w.thread);
         }
       }
-      CoreId cursor = -1;
-      s.deferred.clear();
-      while (!s.ready_cores.empty()) {
-        const CoreId core = s.ready_cores.top();
-        s.ready_cores.pop();
-        const auto ci = static_cast<std::size_t>(core - s.begin);
-        s.queued[ci] = 0;
-        if (s.ready_count[ci] == 0) {
-          continue;
-        }
-        if (core <= cursor) {
-          s.deferred.push_back(core);
-          continue;
-        }
-        cursor = core;
-        const ThreadId chosen = select_ready(s, core);
+      for (CoreId core = s.q.ready_cores.next_after(-1); core != kNoCore;
+           core = s.q.ready_cores.next_after(core)) {
+        const ThreadId chosen = sys.select_ready_resident(s.q, core);
         EM2_ASSERT(chosen != kNoThread,
-                   "shard ready-core heap out of sync with residents");
+                   "shard ready-core set out of sync with residents");
         sys.rr_[static_cast<std::size_t>(core)] =
             static_cast<std::uint32_t>(chosen + 1);
         step_owned(s, chosen);
-        if (s.ready_count[ci] > 0 && !s.queued[ci]) {
-          s.deferred.push_back(core);
-        }
-      }
-      for (const CoreId core : s.deferred) {
-        const auto ci = static_cast<std::size_t>(core - s.begin);
-        if (!s.queued[ci]) {
-          s.ready_cores.push(core);
-          s.queued[ci] = 1;
-        }
       }
     }
   }
@@ -708,8 +470,7 @@ struct RelaxedEngine {
     sys.core_of_[static_cast<std::size_t>(t)] = dest;
     ExecSystem::Thread& th = sys.threads_[static_cast<std::size_t>(t)];
     if (!th.halted) {
-      auto& res = d.residents[static_cast<std::size_t>(dest - d.begin)];
-      res.insert(std::lower_bound(res.begin(), res.end(), t), t);
+      d.q.add_resident(dest, t);
       sys.is_ready_[static_cast<std::size_t>(t)] = 0;
       set_ready_at(d, t, ready);  // ready > d.now == t_end: wakeup push
     }
@@ -781,11 +542,11 @@ struct RelaxedEngine {
   Cycle min_pending() {
     Cycle wmin = kFarFuture;
     for (Shard& s : shards) {
-      while (!s.wakeups.empty() && !wakeup_valid(s, s.wakeups.top())) {
-        s.wakeups.pop();
+      while (!s.q.wakeups.empty() && !wakeup_valid(s, s.q.wakeups.top())) {
+        s.q.wakeups.pop();
       }
-      if (!s.wakeups.empty()) {
-        wmin = std::min(wmin, s.wakeups.top().at);
+      if (!s.q.wakeups.empty()) {
+        wmin = std::min(wmin, s.q.wakeups.top().at);
       }
     }
     return wmin;
@@ -860,10 +621,7 @@ struct RelaxedEngine {
           s.checker.on_store(kNoThread, addr, value, home, home);
         }
       }
-      const auto span = static_cast<std::size_t>(s.end - s.begin);
-      s.residents.assign(span, {});
-      s.ready_count.assign(span, 0);
-      s.queued.assign(span, 0);
+      s.q.reset(static_cast<std::size_t>(cores));
     }
     // Thread placement: everything starts ready at its native core.
     const std::size_t n_threads = sys.threads_.size();
@@ -875,11 +633,8 @@ struct RelaxedEngine {
       sys.core_of_[t] = c;
       Shard& s = shard_at(c);
       owner[t] = s.index;
-      s.residents[static_cast<std::size_t>(c - s.begin)].push_back(
-          static_cast<ThreadId>(t));
-    }
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      mark_ready(shards[owner[t]], static_cast<ThreadId>(t));
+      s.q.add_resident(c, static_cast<ThreadId>(t));
+      sys.mark_ready(s.q, static_cast<ThreadId>(t));
     }
   }
 
@@ -901,7 +656,7 @@ struct RelaxedEngine {
                                                  : max_cycles;
       std::size_t any_ready = 0;
       for (const Shard& s : shards) {
-        any_ready += s.num_ready;
+        any_ready += s.q.num_ready;
       }
       if (any_ready == 0) {
         const Cycle wmin = min_pending();
@@ -966,13 +721,13 @@ struct RelaxedEngine {
     // in-range homes are authoritative — every shard carries the full
     // poke seed, but a word homed elsewhere is never written locally.
     for (const Shard& s : shards) {
-      for (const auto& [addr, value] : s.memory.words()) {
+      s.memory.for_each_word([&](Addr addr, std::uint32_t value) {
         const CoreId home =
             sys.placement_.home_of_block(addr >> sys.block_shift_);
         if (home >= s.begin && home < s.end) {
           sys.memory_.store(addr, value);
         }
-      }
+      });
     }
     return rep;
   }

@@ -39,8 +39,12 @@ void ExecSystem::poke(Addr addr, std::uint32_t value) {
   checker_.on_store(kNoThread, addr, value, home, home);
 }
 
-CoreId ExecSystem::home_of(Addr addr) const {
-  const CoreId home = placement_.home_of_block(addr >> block_shift_);
+CoreId ExecSystem::home_of(Addr addr) {
+  const Addr block = addr >> block_shift_;
+  CoreId& home = homes_.get(block >> 4).core[block & 15];
+  if (home == kNoCore) {
+    home = placement_.home_of_block(block);
+  }
   // A failed home's address slice is served by its deterministic
   // replacement (identity until the first failure).
   return faults_ != nullptr ? faults_->remap(home) : home;
@@ -54,7 +58,9 @@ CoreId ExecSystem::thread_location(ThreadId t) const {
 }
 
 Cost ExecSystem::serve_access(ThreadId t, const PendingAccess& mem) {
-  const CoreId home = home_of(mem.addr);
+  // CC serves at the requester and never consults the home here.
+  const CoreId home =
+      params_.arch == MemArch::kCc ? kNoCore : home_of(mem.addr);
   Cost latency = 0;
   CoreId served_at = home;
 
@@ -194,10 +200,10 @@ void ExecSystem::fire_watchdog(const char* reason) {
        std::to_string(threads_.size() - halted_count_) + " halted=" +
        std::to_string(halted_count_);
   if (event_mode_) {
-    d += " ready=" + std::to_string(num_ready_);
-    d += wakeups_.empty() ? "; no pending wakeup"
-                          : "; earliest wakeup at cycle " +
-                                std::to_string(wakeups_.top().at);
+    d += " ready=" + std::to_string(q_.num_ready);
+    d += q_.wakeups.empty() ? "; no pending wakeup"
+                            : "; earliest wakeup at cycle " +
+                                  std::to_string(q_.wakeups.top().at);
   }
   if (faults_ != nullptr) {
     d += "; faults injected=" + std::to_string(faults_->stats().injected) +
@@ -216,32 +222,20 @@ void ExecSystem::fire_watchdog(const char* reason) {
   report_.diagnosis = d;
 }
 
-void ExecSystem::core_gains_ready(CoreId core) {
-  const auto c = static_cast<std::size_t>(core);
-  if (ready_count_[c]++ == 0 && !queued_[c]) {
-    ready_cores_.push(core);
-    queued_[c] = 1;
-  }
-}
-
-void ExecSystem::core_loses_ready(CoreId core) {
-  // Lazy: a now-empty core's heap entry is discarded when it is popped.
-  --ready_count_[static_cast<std::size_t>(core)];
-}
-
-void ExecSystem::mark_ready(ThreadId t) {
+void ExecSystem::mark_ready(EventQueues& q, ThreadId t) {
   is_ready_[static_cast<std::size_t>(t)] = 1;
-  ++num_ready_;
-  core_gains_ready(core_of_[static_cast<std::size_t>(t)]);
+  ++q.num_ready;
+  q.gain(core_of_[static_cast<std::size_t>(t)]);
 }
 
-void ExecSystem::mark_unready(ThreadId t) {
+void ExecSystem::mark_unready(EventQueues& q, ThreadId t) {
   is_ready_[static_cast<std::size_t>(t)] = 0;
-  --num_ready_;
-  core_loses_ready(core_of_[static_cast<std::size_t>(t)]);
+  --q.num_ready;
+  q.lose(core_of_[static_cast<std::size_t>(t)]);
 }
 
-void ExecSystem::set_ready_at(ThreadId t, Cycle when) {
+void ExecSystem::set_ready_at(EventQueues& q, ThreadId t, Cycle when,
+                              Cycle now) {
   Thread& th = threads_[static_cast<std::size_t>(t)];
   th.ready_at = when;
   // A halted victim still gets its ready_at stamped (scan-scheduler
@@ -249,14 +243,20 @@ void ExecSystem::set_ready_at(ThreadId t, Cycle when) {
   if (!event_mode_ || th.halted) {
     return;
   }
-  if (when > now_) {
+  if (when > now) {
     if (is_ready_[static_cast<std::size_t>(t)]) {
-      mark_unready(t);
+      mark_unready(q, t);
     }
-    wakeups_.push(Wakeup{when, t});
+    q.wakeups.push(Wakeup{when, t});
   } else if (!is_ready_[static_cast<std::size_t>(t)]) {
-    mark_ready(t);
+    mark_ready(q, t);
   }
+}
+
+bool ExecSystem::wakeup_live(const Wakeup& w) const {
+  const Thread& th = threads_[static_cast<std::size_t>(w.thread)];
+  return !th.halted && !is_ready_[static_cast<std::size_t>(w.thread)] &&
+         th.ready_at == w.at;
 }
 
 void ExecSystem::on_thread_moved(ThreadId t, CoreId from, CoreId to) {
@@ -264,22 +264,14 @@ void ExecSystem::on_thread_moved(ThreadId t, CoreId from, CoreId to) {
   // machine and can be displaced by a later migration; it left the
   // scheduling structures when it retired, so only the location mirror
   // moves with it.
-  if (threads_[static_cast<std::size_t>(t)].halted) {
-    core_of_[static_cast<std::size_t>(t)] = to;
-    return;
-  }
-  // Departure and arrival are each an O(residents) splice into a sorted
-  // vector; residency per core is bounded by guest contexts + natives, so
-  // this is effectively O(1) — and it replaces the per-cycle rediscovery
-  // scan entirely.
-  auto& src = residents_[static_cast<std::size_t>(from)];
-  src.erase(std::lower_bound(src.begin(), src.end(), t));
-  auto& dst = residents_[static_cast<std::size_t>(to)];
-  dst.insert(std::lower_bound(dst.begin(), dst.end(), t), t);
-  if (is_ready_[static_cast<std::size_t>(t)]) {
-    // Re-home the ready accounting without toggling is_ready_.
-    core_loses_ready(from);
-    core_gains_ready(to);
+  if (!threads_[static_cast<std::size_t>(t)].halted) {
+    q_.remove_resident(from, t);
+    q_.add_resident(to, t);
+    if (is_ready_[static_cast<std::size_t>(t)]) {
+      // Re-home the ready accounting without toggling is_ready_.
+      q_.lose(from);
+      q_.gain(to);
+    }
   }
   core_of_[static_cast<std::size_t>(t)] = to;
 }
@@ -300,11 +292,9 @@ void ExecSystem::finish_step(ThreadId chosen, const StepResult& r) {
       ++halted_count_;
       report_.finish_cycle[static_cast<std::size_t>(chosen)] = now_;
       if (event_mode_) {
-        mark_unready(chosen);  // a stepped thread is always ready
-        auto& res =
-            residents_[static_cast<std::size_t>(
-                core_of_[static_cast<std::size_t>(chosen)])];
-        res.erase(std::lower_bound(res.begin(), res.end(), chosen));
+        mark_unready(q_, chosen);  // a stepped thread is always ready
+        q_.remove_resident(core_of_[static_cast<std::size_t>(chosen)],
+                           chosen);
       }
       break;
     case StepKind::kMem: {
@@ -317,13 +307,16 @@ void ExecSystem::finish_step(ThreadId chosen, const StepResult& r) {
   }
 }
 
-ThreadId ExecSystem::select_ready_resident(CoreId core) const {
+ThreadId ExecSystem::select_ready_resident(const EventQueues& q,
+                                           CoreId core) const {
   // Round-robin over *global thread ids* starting at rr_[core], restricted
   // to this core's residents — exactly the order the scan scheduler's
-  // probe loop visits, so both schedulers pick the same thread.
-  const auto& res = residents_[static_cast<std::size_t>(core)];
-  const auto start = static_cast<ThreadId>(
-      rr_[static_cast<std::size_t>(core)] % threads_.size());
+  // probe loop visits, so both schedulers pick the same thread.  rr_ is
+  // at most the thread count, and a cursor equal to it wraps to the
+  // front exactly as the scan's modulo would.
+  const auto& res = q.residents[static_cast<std::size_t>(core)];
+  const auto start =
+      static_cast<ThreadId>(rr_[static_cast<std::size_t>(core)]);
   const auto pivot = std::lower_bound(res.begin(), res.end(), start);
   for (auto it = pivot; it != res.end(); ++it) {
     if (is_ready_[static_cast<std::size_t>(*it)]) {
@@ -341,131 +334,115 @@ ThreadId ExecSystem::select_ready_resident(CoreId core) const {
 void ExecSystem::init_event_structures() {
   const std::size_t n_threads = threads_.size();
   const auto n_cores = static_cast<std::size_t>(mesh_.num_cores());
-  residents_.assign(n_cores, {});
-  ready_count_.assign(n_cores, 0);
-  queued_.assign(n_cores, 0);
+  q_.reset(n_cores);
   is_ready_.assign(n_threads, 0);
   core_of_.resize(n_threads);
   for (std::size_t t = 0; t < n_threads; ++t) {
     const CoreId c = threads_[t].ctx.native_core;
     core_of_[t] = c;
-    // Ascending t keeps each per-core vector sorted by construction.
-    residents_[static_cast<std::size_t>(c)].push_back(
-        static_cast<ThreadId>(t));
+    q_.add_resident(c, static_cast<ThreadId>(t));
+    mark_ready(q_, static_cast<ThreadId>(t));  // every thread starts ready
   }
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    mark_ready(static_cast<ThreadId>(t));  // every thread starts ready
+}
+
+bool ExecSystem::begin_event_cycle(Cycle max_cycles) {
+  if (halted_count_ == threads_.size() || now_ >= max_cycles) {
+    return false;
+  }
+  if (q_.num_ready == 0) {
+    // Nothing can issue: jump straight to the earliest wakeup instead of
+    // idling one cycle at a time (the scan scheduler burns a full
+    // O(cores x threads) probe pass per idle cycle).  Under fault
+    // injection a pending core failure, and with a watchdog its deadline,
+    // bound the jump too.
+    while (!q_.wakeups.empty() && !wakeup_live(q_.wakeups.top())) {
+      q_.wakeups.pop();  // stale: superseded by a later re-stall
+    }
+    std::uint64_t wake =
+        q_.wakeups.empty() ? FaultInjector::kNever
+                           : static_cast<std::uint64_t>(q_.wakeups.top().at);
+    if (faults_ != nullptr) {
+      wake = std::min(wake, faults_->next_failure_at());
+    }
+    if (params_.watchdog_cycles > 0) {
+      wake = std::min(wake, static_cast<std::uint64_t>(
+                                last_progress_ + params_.watchdog_cycles));
+    }
+    // With no wakeup, no pending failure, and no watchdog the scheduler
+    // would hang — historically an assert; a configured watchdog turns it
+    // into the structured diagnosis below instead.
+    EM2_ASSERT(wake != FaultInjector::kNever,
+               "live threads but no pending wakeup: scheduler would hang");
+    if (wake > static_cast<std::uint64_t>(max_cycles)) {
+      now_ = max_cycles;  // the scan scheduler idles up to the budget
+      return false;
+    }
+    now_ = static_cast<Cycle>(wake);
+  } else {
+    ++now_;
+  }
+  if (params_.watchdog_cycles > 0 &&
+      now_ - last_progress_ >= params_.watchdog_cycles) {
+    fire_watchdog("no instruction retired within the watchdog window");
+    return false;
+  }
+  fault_tick();
+
+  while (!q_.wakeups.empty() && q_.wakeups.top().at <= now_) {
+    const Wakeup w = q_.wakeups.top();
+    q_.wakeups.pop();
+    if (wakeup_live(w)) {
+      mark_ready(q_, w.thread);
+    }
+  }
+  return true;
+}
+
+void ExecSystem::issue_cycle(std::span<const Spec> specs) {
+  // Step each ready core once, in ascending core order.  The walk re-reads
+  // the bitset after every step, so a migration landing on a *later* core
+  // this cycle is stepped before the cycle ends (as the scan scheduler
+  // would see it), while cores at or below the cursor — including a
+  // stepped core that stays ready — wait for the next cycle.
+  std::size_t si = 0;
+  for (CoreId core = q_.ready_cores.next_after(-1); core != kNoCore;
+       core = q_.ready_cores.next_after(core)) {
+    if (faults_ != nullptr && faults_->core_stalled(core, now_)) {
+      // Frozen window: the core issues nothing this cycle but keeps its
+      // bit, so its residents retry next cycle.  rr_ is untouched, as in
+      // the scan scheduler, which probes and then discards.
+      continue;
+    }
+    const ThreadId chosen = select_ready_resident(q_, core);
+    EM2_ASSERT(chosen != kNoThread,
+               "ready-core set out of sync with resident queues");
+    rr_[static_cast<std::size_t>(core)] =
+        static_cast<std::uint32_t>(chosen + 1);
+    // Specs are ascending by core, so one forward cursor finds this
+    // core's speculation, if any.
+    while (si < specs.size() && specs[si].core < core) {
+      ++si;
+    }
+    if (si < specs.size() && specs[si].core == core &&
+        specs[si].chosen == chosen) {
+      // The speculation targeted the thread this walk picks, and nothing
+      // before this step wrote its context (each thread steps at most once
+      // per cycle; accesses only touch the issuing thread's own context)
+      // — adopt the speculated step.
+      threads_[static_cast<std::size_t>(chosen)].ctx = specs[si].ctx;
+      finish_step(chosen, specs[si].res);
+    } else {
+      // No speculation (sequential run, or the core became ready this
+      // cycle), or an earlier step changed the selection: step serially.
+      step_thread(chosen);
+    }
   }
 }
 
 void ExecSystem::run_event(Cycle max_cycles) {
-  const std::size_t n_threads = threads_.size();
   init_event_structures();
-
-  while (halted_count_ < n_threads) {
-    if (now_ >= max_cycles) {
-      break;
-    }
-    if (num_ready_ == 0) {
-      // Nothing can issue: jump straight to the earliest wakeup instead of
-      // idling one cycle at a time (the scan scheduler burns a full
-      // O(cores x threads) probe pass per idle cycle).  Under fault
-      // injection a pending core failure, and with a watchdog its
-      // deadline, bound the jump too.
-      while (!wakeups_.empty()) {
-        const Wakeup& w = wakeups_.top();
-        const Thread& th = threads_[static_cast<std::size_t>(w.thread)];
-        if (!th.halted && th.ready_at == w.at) {
-          break;  // valid (an is_ready_ thread would make num_ready_ > 0)
-        }
-        wakeups_.pop();  // stale: superseded by a later re-stall
-      }
-      std::uint64_t wake = wakeups_.empty()
-                               ? FaultInjector::kNever
-                               : static_cast<std::uint64_t>(
-                                     wakeups_.top().at);
-      if (faults_ != nullptr) {
-        wake = std::min(wake, faults_->next_failure_at());
-      }
-      if (params_.watchdog_cycles > 0) {
-        wake = std::min(wake, static_cast<std::uint64_t>(
-                                  last_progress_ + params_.watchdog_cycles));
-      }
-      // With no wakeup, no pending failure, and no watchdog the scheduler
-      // would hang — historically an assert; a configured watchdog turns
-      // it into the structured diagnosis below instead.
-      EM2_ASSERT(wake != FaultInjector::kNever,
-                 "live threads but no pending wakeup: scheduler would hang");
-      if (wake > static_cast<std::uint64_t>(max_cycles)) {
-        now_ = max_cycles;  // the scan scheduler idles up to the budget
-        break;
-      }
-      now_ = static_cast<Cycle>(wake);
-    } else {
-      ++now_;
-    }
-    if (params_.watchdog_cycles > 0 &&
-        now_ - last_progress_ >= params_.watchdog_cycles) {
-      fire_watchdog("no instruction retired within the watchdog window");
-      break;
-    }
-    fault_tick();
-
-    while (!wakeups_.empty() && wakeups_.top().at <= now_) {
-      const Wakeup w = wakeups_.top();
-      wakeups_.pop();
-      const Thread& th = threads_[static_cast<std::size_t>(w.thread)];
-      if (th.halted || is_ready_[static_cast<std::size_t>(w.thread)] ||
-          th.ready_at != w.at) {
-        continue;  // stale entry
-      }
-      mark_ready(w.thread);
-    }
-
-    // Step each ready core once, in ascending core order, by draining the
-    // dense ready-core heap.  A migration landing on a *later* core this
-    // cycle pushes that core and is popped before the cycle ends (as the
-    // scan scheduler would see it), while cores at or below the cursor —
-    // including a stepped core that stays ready — are deferred to the next
-    // cycle via deferred_ (ditto).
-    CoreId cursor = -1;
-    deferred_.clear();
-    while (!ready_cores_.empty()) {
-      const CoreId core = ready_cores_.top();
-      ready_cores_.pop();
-      const auto c = static_cast<std::size_t>(core);
-      queued_[c] = 0;
-      if (ready_count_[c] == 0) {
-        continue;  // stale: went unready since it was queued
-      }
-      if (core <= cursor) {
-        deferred_.push_back(core);  // became ready behind the cursor
-        continue;
-      }
-      cursor = core;
-      if (faults_ != nullptr && faults_->core_stalled(core, now_)) {
-        // Frozen window: the core issues nothing this cycle but its
-        // residents stay ready — retry next cycle.  rr_ is untouched, as
-        // in the scan scheduler, which probes and then discards.
-        deferred_.push_back(core);
-        continue;
-      }
-      const ThreadId chosen = select_ready_resident(core);
-      EM2_ASSERT(chosen != kNoThread,
-                 "ready-core heap out of sync with resident queues");
-      rr_[c] = static_cast<std::uint32_t>(chosen + 1);
-      step_thread(chosen);
-      if (ready_count_[c] > 0 && !queued_[c]) {
-        deferred_.push_back(core);  // still has ready residents: next cycle
-      }
-    }
-    for (const CoreId core : deferred_) {
-      const auto c = static_cast<std::size_t>(core);
-      if (!queued_[c]) {
-        ready_cores_.push(core);
-        queued_[c] = 1;
-      }
-    }
+  while (begin_event_cycle(max_cycles)) {
+    issue_cycle({});
   }
 }
 

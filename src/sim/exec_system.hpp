@@ -18,10 +18,13 @@
 //       (arrival/departure updates the queue the moment it happens; CC
 //       threads are pinned, so their queues are static), a min-heap of
 //       wakeup times so fully-stalled stretches are skipped in one jump,
-//       and a dense min-heap of ready cores so a cycle costs O(issuing
-//       cores x log) — independent of mesh size, unlike the former
-//       ready-core bitmap whose walk was O(cores/64) even when a single
-//       core issued.  This is what makes 1000-core runs feasible.
+//       and a ReadyCoreSet bitset walked once per cycle in core order.
+//       The walk reads cores/64 words per simulated cycle (4 at 256
+//       cores).  It replaced a lazy min-heap of ready cores that pushed
+//       and popped once per issued instruction (10.5M times per exec-seq
+//       benchmark rep): that churn was most of the loop's self time, and
+//       the bitset is no slower even on sparse 1024-core runs
+//       (bench_exec_scaling).  This is what makes 1000-core runs feasible.
 //   kScan                   The reference scheduler: every cycle, every
 //       core probes every thread (round-robin).  Kept as the executable
 //       specification the event-driven scheduler is diffed against.
@@ -29,11 +32,14 @@
 // All loads/stores are checked against the sequential-consistency witness.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <queue>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,10 +54,46 @@
 #include "placement/placement.hpp"
 #include "sim/faults.hpp"
 #include "sim/modes.hpp"
+#include "util/page_table.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
 namespace em2 {
+
+/// One bit per core: the event scheduler keeps bit c set exactly while
+/// core c has at least one ready resident.  A cycle walks the set in
+/// ascending core order with next_after(), which re-reads the current
+/// word on every call — so a core that a migration makes ready *ahead* of
+/// the cursor issues this cycle, and one at or behind it waits for the
+/// next cycle, exactly as the scan scheduler's core loop would see it.
+class ReadyCoreSet {
+ public:
+  /// Empties the set and sizes it for `cores` cores.
+  void reset(std::size_t cores) { words_.assign((cores + 63) / 64, 0); }
+  void insert(CoreId c) noexcept { words_[word(c)] |= bit(c); }
+  void erase(CoreId c) noexcept { words_[word(c)] &= ~bit(c); }
+  /// The smallest member greater than `after` (-1 starts a walk), or
+  /// kNoCore when there is none.
+  CoreId next_after(CoreId after) const noexcept {
+    const CoreId from = after + 1;
+    std::uint64_t bits = ~std::uint64_t{0} << (from & 63);
+    for (std::size_t w = word(from); w < words_.size(); ++w, bits = ~0ull) {
+      if ((bits &= words_[w]) != 0) {
+        return static_cast<CoreId>(w * 64) + std::countr_zero(bits);
+      }
+    }
+    return kNoCore;
+  }
+
+ private:
+  static std::size_t word(CoreId c) noexcept {
+    return static_cast<std::size_t>(c) >> 6;
+  }
+  static std::uint64_t bit(CoreId c) noexcept {
+    return std::uint64_t{1} << (c & 63);
+  }
+  std::vector<std::uint64_t> words_;
+};
 
 /// Execution-system configuration.
 struct ExecParams {
@@ -174,7 +216,50 @@ class ExecSystem final : private ThreadMoveObserver {
     }
   };
 
-  CoreId home_of(Addr addr) const;
+  /// Event-scheduler queues: per-core residency and ready counts, the
+  /// ready-core bitset and the wakeup heap.  The sequential and exact
+  /// engines keep one over the whole mesh; each relaxed shard keeps its
+  /// own, in which only the shard's cores ever hold residents.  Residency
+  /// mirrors the machines' thread locations (updated by on_thread_moved,
+  /// never rediscovered by scans).
+  struct EventQueues {
+    std::vector<std::vector<ThreadId>> residents;  // per core, sorted by id
+    std::vector<std::uint32_t> ready_count;  // ready residents per core
+    ReadyCoreSet ready_cores;                // bit c <=> ready_count[c] > 0
+    std::priority_queue<Wakeup, std::vector<Wakeup>, WakeupAfter> wakeups;
+    std::size_t num_ready = 0;
+
+    void reset(std::size_t cores) {
+      residents.assign(cores, {});
+      ready_count.assign(cores, 0);
+      ready_cores.reset(cores);
+    }
+    /// A resident of `core` became ready / stopped being ready.
+    void gain(CoreId core) {
+      if (ready_count[static_cast<std::size_t>(core)]++ == 0) {
+        ready_cores.insert(core);
+      }
+    }
+    void lose(CoreId core) {
+      if (--ready_count[static_cast<std::size_t>(core)] == 0) {
+        ready_cores.erase(core);
+      }
+    }
+    /// Residency per core is bounded by guest contexts + natives, so these
+    /// sorted splices are effectively O(1).
+    void add_resident(CoreId core, ThreadId t) {
+      auto& res = residents[static_cast<std::size_t>(core)];
+      res.insert(std::lower_bound(res.begin(), res.end(), t), t);
+    }
+    void remove_resident(CoreId core, ThreadId t) {
+      auto& res = residents[static_cast<std::size_t>(core)];
+      res.erase(std::lower_bound(res.begin(), res.end(), t));
+    }
+  };
+
+  /// Home core of `addr` (per-block placement lookups are cached in
+  /// homes_), remapped around failed cores under fault injection.
+  CoreId home_of(Addr addr);
   CoreId thread_location(ThreadId t) const;
   /// Serves one memory access for thread `t`; returns the stall latency.
   Cost serve_access(ThreadId t, const PendingAccess& mem);
@@ -187,17 +272,20 @@ class ExecSystem final : private ThreadMoveObserver {
   void init_machines();
   /// Issues one instruction from `chosen` (shared by both schedulers).
   void step_thread(ThreadId chosen);
-  /// Sets `t`'s ready time to `when` (>= now_) and, in event mode, moves
-  /// it between the ready set and the wakeup heap accordingly.
-  void set_ready_at(ThreadId t, Cycle when);
-  void mark_ready(ThreadId t);
-  void mark_unready(ThreadId t);
-  /// Maintain the per-core ready count + dense ready-core heap pair (the
-  /// only two places that representation is known).
-  void core_gains_ready(CoreId core);
-  void core_loses_ready(CoreId core);
+  /// Sets `t`'s ready time to `when` (>= now) and, in event mode, moves
+  /// it between `q`'s ready set and wakeup heap accordingly.
+  void set_ready_at(EventQueues& q, ThreadId t, Cycle when, Cycle now);
+  void set_ready_at(ThreadId t, Cycle when) {
+    set_ready_at(q_, t, when, now_);
+  }
+  void mark_ready(EventQueues& q, ThreadId t);
+  void mark_unready(EventQueues& q, ThreadId t);
+  /// True iff wakeup `w` is current: its thread is live, not already
+  /// ready, and still stalled until exactly `w.at` (ready_at only grows,
+  /// so a superseded entry never matches).
+  bool wakeup_live(const Wakeup& w) const;
   /// First ready resident of `core` in round-robin order from rr_[core].
-  ThreadId select_ready_resident(CoreId core) const;
+  ThreadId select_ready_resident(const EventQueues& q, CoreId core) const;
 
   /// Fails every core whose scheduled failure time is <= now_ and
   /// re-stalls the evacuated threads (fault injection only).
@@ -215,8 +303,26 @@ class ExecSystem final : private ThreadMoveObserver {
     }
   }
 
+  /// One speculated instruction step (exact sharded mode): `chosen`'s
+  /// step on `core`, computed on a private copy of its context.
+  struct Spec {
+    CoreId core = kNoCore;
+    ThreadId chosen = kNoThread;
+    StepResult res{};
+    ExecutionContext ctx{};
+  };
+
   void run_scan(Cycle max_cycles);
   void run_event(Cycle max_cycles);
+  /// Event-scheduler cycle top shared by run_event and the exact sharded
+  /// walk: advances now_ (one cycle, or a jump over a fully stalled
+  /// stretch), runs the watchdog and fault bookkeeping, and readies due
+  /// wakeups.  Returns false when the run is over.
+  bool begin_event_cycle(Cycle max_cycles);
+  /// Steps every ready core once in ascending order, adopting the
+  /// speculation in `specs` (ascending by core) that still matches the
+  /// sequential pick.
+  void issue_cycle(std::span<const Spec> specs);
 
   // Sharded execution (sim/exec_parallel.cpp).  Exact mode (skew=0)
   // speculates instruction steps across a worker pool and commits them
@@ -241,6 +347,12 @@ class ExecSystem final : private ThreadMoveObserver {
   ExecParams params_;
   const Placement& placement_;
   std::uint32_t block_shift_;
+  /// Placement home per block, 16 blocks per page (kNoCore = not cached).
+  struct HomePage {
+    HomePage() { core.fill(kNoCore); }
+    std::array<CoreId, 16> core;
+  };
+  PageTable<HomePage> homes_;
 
   // Exactly one of these backs the memory system, per params_.arch.
   // The sealed policy is visited per access (a switch over the concrete
@@ -267,25 +379,11 @@ class ExecSystem final : private ThreadMoveObserver {
   bool watchdog_fired_ = false;
 
   // Event-driven scheduler state (live only during run() in kEventDriven
-  // mode; empty otherwise).  Residency is a mirror of the machines' thread
-  // locations, updated by on_thread_moved — never rediscovered by scans.
+  // mode; empty otherwise).
   bool event_mode_ = false;
-  std::vector<std::vector<ThreadId>> residents_;  // per core, sorted by id
-  std::vector<std::uint32_t> ready_count_;  // ready residents per core
-  std::vector<char> is_ready_;              // per thread
-  std::vector<CoreId> core_of_;             // per thread, mirrors location
-  std::size_t num_ready_ = 0;
-  std::priority_queue<Wakeup, std::vector<Wakeup>, WakeupAfter> wakeups_;
-  // Dense ready-core list: a lazy min-heap holding every core that *may*
-  // have a ready resident, at most one entry per core (queued_).  Entries
-  // whose ready_count_ dropped to 0 are discarded on pop; cores that are
-  // stepped and stay ready, or that become ready at-or-below the cycle's
-  // cursor, are re-queued for the next cycle via deferred_.  Cycle cost is
-  // O(ready cores x log), independent of mesh size.
-  std::priority_queue<CoreId, std::vector<CoreId>, std::greater<CoreId>>
-      ready_cores_;
-  std::vector<char> queued_;       // per core: exactly-one-heap-entry guard
-  std::vector<CoreId> deferred_;   // cores to re-queue after the cycle walk
+  EventQueues q_;
+  std::vector<char> is_ready_;   // per thread
+  std::vector<CoreId> core_of_;  // per thread, mirrors location
 };
 
 }  // namespace em2

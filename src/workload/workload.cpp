@@ -1,6 +1,7 @@
 #include "workload/workload.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -45,23 +46,24 @@ std::vector<RProgram> compile_replay_programs(const TraceSet& traces) {
   std::vector<RProgram> programs;
   programs.reserve(traces.num_threads());
   for (const ThreadTrace& thread : traces.threads()) {
-    RAsm a;
-    a.addi(kValue, 0, static_cast<std::int32_t>(thread.thread()) + 1);
+    // One pass sizes the program exactly: the value seed, the optional
+    // high-base pair, gap nops plus lw (reads) or sw + addi (writes) per
+    // access, and the halt.
     bool needs_high = false;
+    std::size_t length = 2;
     for (const Access& acc : thread.accesses()) {
-      if (acc.addr >= 0x8000'0000ull) {
-        needs_high = true;
-        break;
-      }
+      needs_high = needs_high || acc.addr >= 0x8000'0000ull;
+      length += acc.gap + (acc.op == MemOp::kRead ? 1u : 2u);
     }
+    RAsm a;
+    a.reserve(length + (needs_high ? 2 : 0));
+    a.addi(kValue, 0, static_cast<std::int32_t>(thread.thread()) + 1);
     if (needs_high) {
       a.addi(kHighBase, 0, 0x4000'0000);
       a.add(kHighBase, kHighBase, kHighBase);  // = 0x8000'0000
     }
     for (const Access& acc : thread.accesses()) {
-      for (std::uint32_t g = 0; g < acc.gap; ++g) {
-        a.nop();  // the trace's non-memory instructions between accesses
-      }
+      a.nops(acc.gap);  // the trace's non-memory instructions
       const AddrOperand at = addr_operand(acc.addr, kHighBase);
       if (acc.op == MemOp::kRead) {
         a.lw(kSink, at.rs, at.imm);
@@ -71,7 +73,7 @@ std::vector<RProgram> compile_replay_programs(const TraceSet& traces) {
       }
     }
     a.halt();
-    programs.push_back(a.build());
+    programs.push_back(std::move(a).build());
   }
   return programs;
 }

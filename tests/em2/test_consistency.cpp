@@ -58,5 +58,40 @@ TEST(Consistency, PerAddressIndependence) {
   EXPECT_TRUE(c.ok());
 }
 
+// The witness stores word cells in shared pages.  A wrong value in one
+// cell must still be flagged when its page neighbours are all correct.
+TEST(Consistency, LostWriteBesideACorrectNeighbourDetected) {
+  ConsistencyChecker c;
+  c.on_store(0, 0x200, 11, 3, 3);
+  c.on_store(0, 0x204, 22, 3, 3);  // same page, next cell
+  c.on_load(1, 0x204, 22, 3, 3);   // the neighbour reads back fine
+  c.on_load(1, 0x200, 0, 3, 3);    // the write to 0x200 was lost
+  ASSERT_EQ(c.violations().size(), 1u);
+  EXPECT_EQ(c.violations()[0].addr, 0x200u);
+  EXPECT_NE(c.violations()[0].what.find("wrote 11"), std::string::npos);
+}
+
+TEST(Consistency, StaleReadBesideACorrectNeighbourDetected) {
+  ConsistencyChecker c;
+  c.on_store(0, 0x23C, 1, 3, 3);  // last cell of the page
+  c.on_store(0, 0x238, 7, 3, 3);
+  c.on_store(0, 0x23C, 2, 3, 3);
+  c.on_load(1, 0x238, 7, 3, 3);   // the neighbour is current
+  c.on_load(1, 0x23C, 1, 3, 3);   // stale: the second store was missed
+  ASSERT_EQ(c.violations().size(), 1u);
+  EXPECT_EQ(c.violations()[0].addr, 0x23Cu);
+  EXPECT_NE(c.violations()[0].what.find("load returned 1"),
+            std::string::npos);
+}
+
+TEST(Consistency, UnalignedAddressIsItsOwnCell) {
+  ConsistencyChecker c;
+  c.on_store(0, 0x300, 9, 1, 1);
+  c.on_load(0, 0x301, 0, 1, 1);  // a different byte address, never written
+  c.on_load(0, 0x301, 9, 1, 1);  // so reading 9 there is a violation
+  ASSERT_EQ(c.violations().size(), 1u);
+  EXPECT_EQ(c.violations()[0].addr, 0x301u);
+}
+
 }  // namespace
 }  // namespace em2

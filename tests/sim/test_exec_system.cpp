@@ -50,6 +50,36 @@ TEST(ExecSystem, Em2SumAcrossCoresIsCorrectAndConsistent) {
   EXPECT_GT(r.counters.get("migrations"), 0u);
 }
 
+TEST(ExecSystem, CachedHomesFollowThePlacementAcrossHomePages) {
+  // Blocks are cached 16 to a page; 48 consecutive blocks with scattered
+  // homes span several pages.  A single EM2 thread migrates exactly when
+  // the next block's placement home differs from where it is, so the
+  // migration count pins every cached home to the placement's answer.
+  ExecFixture f;
+  f.params.arch = MemArch::kEm2;
+  TablePlacement placement(16);
+  const Addr base = 0x1000;  // block 64
+  std::uint64_t expected_migrations = 0;
+  CoreId at = 0;
+  for (int i = 0; i <= 48; ++i) {  // i == 48: the result block
+    const CoreId home = static_cast<CoreId>((i * 7 + i / 5) % 16);
+    placement.assign((base >> 6) + static_cast<Addr>(i), home);
+    expected_migrations += home != at ? 1 : 0;
+    at = home;
+  }
+  ExecSystem sys(f.mesh, f.cost, f.params, placement);
+  std::uint32_t expected = 0;
+  for (int i = 0; i < 48; ++i) {
+    sys.poke(base + static_cast<Addr>(i) * 64, static_cast<std::uint32_t>(i));
+    expected += static_cast<std::uint32_t>(i);
+  }
+  sys.add_thread(sum_program(base, 48, base + 48 * 64), 0);
+  const ExecReport r = sys.run(1'000'000);
+  EXPECT_TRUE(r.consistent);
+  EXPECT_EQ(sys.peek(base + 48 * 64), expected);
+  EXPECT_EQ(r.counters.get("migrations"), expected_migrations);
+}
+
 TEST(ExecSystem, AllThreeArchitecturesComputeTheSameResult) {
   std::uint32_t results[3];
   int idx = 0;
