@@ -19,25 +19,13 @@
 //                       the migration path harder.
 //   --accesses=N        accesses per timed repetition, default 4000000
 //   --seconds=S         keep repeating until S seconds elapsed, default 1
-//   --arch=em2|em2ra    protocol engine to drive, default em2
-//   --policy=SPEC       em2ra decision policy, default distance:4.  The
+//   --arch=em2|em2-ra   protocol engine to drive, default em2
+//   --policy=SPEC       em2-ra decision policy, default distance:4.  The
 //                       sealed schemes run statically dispatched (one
 //                       StandardPolicy::visit hoisted around the timed
 //                       loop); prefix "custom:" to force the retained
 //                       virtual path and measure the dispatch delta.
-//   --pipeline=MODE     em2ra access pipeline: "scalar" (one decide+apply
-//                       per access), "batched" (decide-then-apply over
-//                       core-sized tiles, the trace engine's default), or
-//                       "both" (the default: reps alternate A/B between
-//                       the two pipelines inside one timed window, so
-//                       frequency scaling and cache warmth hit both legs
-//                       alike, and one row is emitted per pipeline).
-//                       Policies whose decisions are not batch-safe
-//                       (cost-estimate, custom:) fall back to the scalar
-//                       loop inside the batched leg, same as the engine.
 //   --json              one-line JSON summary instead of the text report
-//                       (one line per pipeline leg under --arch=em2ra;
-//                       each em2ra row carries a "pipeline" field)
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -100,13 +88,6 @@ int main(int argc, char** argv) {
   const double seconds = args.get_double("seconds", 1.0);
   const std::string arch_name = args.get_string("arch", "em2");
   const std::string policy_spec = args.get_string("policy", "distance:4");
-  const std::string pipeline = args.get_string("pipeline", "both");
-  if (pipeline != "scalar" && pipeline != "batched" && pipeline != "both") {
-    std::fprintf(stderr,
-                 "unknown --pipeline '%s' (scalar, batched, both)\n",
-                 pipeline.c_str());
-    return 1;
-  }
   const auto parsed_arch = em2::parse_mem_arch(arch_name);
   if (!parsed_arch || *parsed_arch == em2::MemArch::kCc) {
     std::fprintf(stderr, "unknown/unsupported arch '%s' (known here: em2, "
@@ -141,25 +122,17 @@ int main(int argc, char** argv) {
     machine = std::make_unique<em2::Em2Machine>(mesh, cost, params, native);
   }
 
-  struct Leg {
-    const char* name;
-    std::uint64_t done = 0;
-    double secs = 0.0;
-  };
-  std::vector<Leg> legs;
   const auto start = std::chrono::steady_clock::now();
-  const auto total_elapsed = [&] {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-  const auto run_rep = [&](Leg& leg, auto&& rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    rep();
-    leg.secs += std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
+  std::uint64_t done = 0;
+  double elapsed = 0.0;
+  auto timed = [&](auto&& rep) {
+    do {
+      rep();
+      done += accesses;
+      elapsed = std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start)
                     .count();
-    leg.done += accesses;
+    } while (elapsed < seconds);
   };
   if (hybrid != nullptr) {
     em2::StandardPolicy policy = [&] {
@@ -170,151 +143,53 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
     }();
-    // ONE visit around the whole timed region: the loops below are
+    // ONE visit around the whole timed region: the loop below is
     // instantiated per concrete scheme, so sealed policies pay zero
     // virtual calls per access ("custom:..." measures the old path).
     policy.visit([&](auto& p) {
-      auto scalar_rep = [&] {
+      timed([&] {
         for (std::size_t i = 0; i < accesses; ++i) {
           const em2::Addr addr = static_cast<em2::Addr>(i) * 64;
           hybrid->access_hybrid(p, stream.thread[i], stream.home[i],
                                 em2::MemOp::kRead, addr, addr >> 6);
         }
-      };
-      using Traits = em2::PolicyBatchTraits<std::decay_t<decltype(p)>>;
-      const std::size_t tile = static_cast<std::size_t>(cores);
-      std::vector<em2::CoreId> tl_at(tile);
-      // RaDecision bytes against the snapshot location and the native
-      // core — the only two places a thread can be by its apply.
-      std::vector<std::uint8_t> dec_at(tile);
-      std::vector<std::uint8_t> dec_nat(tile);
-      auto batched_rep = [&] {
-        // Mirrors the trace engine's decide-then-apply loop: the stream
-        // interleaves threads round-robin, so `cores` consecutive
-        // accesses form one tile touching each thread at most once.
-        for (std::size_t base = 0; base < accesses; base += tile) {
-          const std::size_t n = std::min(tile, accesses - base);
-          if constexpr (Traits::kBatchSafeDecide) {
-            // Pre-pass: fused gather + decide, no machine mutation and
-            // no data-dependent branch (a batch-safe decide() is pure;
-            // locality resolves at apply time from the live location).
-            for (std::size_t k = 0; k < n; ++k) {
-              const std::size_t i = base + k;
-              const em2::ThreadId t = stream.thread[i];
-              const em2::CoreId nat = hybrid->native(t);
-              em2::DecisionQuery q;
-              q.thread = t;
-              q.current = nat;
-              q.home = stream.home[i];
-              q.native = nat;
-              q.op = em2::MemOp::kRead;
-              q.block = static_cast<em2::Addr>(i);
-              if constexpr (Traits::kDecideReadsLocation) {
-                const em2::CoreId at = hybrid->location(t);
-                tl_at[k] = at;
-                dec_nat[k] = static_cast<std::uint8_t>(
-                    static_cast<int>(p.decide(q)));
-                q.current = at;
-              }
-              dec_at[k] = static_cast<std::uint8_t>(
-                  static_cast<int>(p.decide(q)));
-            }
-            hybrid->bulk_access_prologue(n, 0);  // the stream is all reads
-            for (std::size_t k = 0; k < n; ++k) {
-              const std::size_t i = base + k;
-              const em2::ThreadId t = stream.thread[i];
-              const em2::CoreId home = stream.home[i];
-              const em2::Addr addr = static_cast<em2::Addr>(i) * 64;
-              const em2::CoreId at = hybrid->location(t);
-              if (at == home) {
-                hybrid->apply_local(p, t, home, em2::MemOp::kRead, addr);
-              } else {
-                std::uint8_t d = dec_at[k];
-                if constexpr (Traits::kDecideReadsLocation) {
-                  // Moved since the snapshot => evicted to native:
-                  // select the matching precomputed decision (cmov).
-                  d = at == tl_at[k] ? d : dec_nat[k];
-                }
-                hybrid->apply_nonlocal(p, static_cast<em2::RaDecision>(d),
-                                       t, at, home, em2::MemOp::kRead, addr);
-              }
-            }
-          } else {
-            // Not batch-safe (cost-estimate, custom:): same scalar order
-            // the trace engine falls back to.
-            for (std::size_t k = 0; k < n; ++k) {
-              const std::size_t i = base + k;
-              const em2::Addr addr = static_cast<em2::Addr>(i) * 64;
-              hybrid->access_hybrid(p, stream.thread[i], stream.home[i],
-                                    em2::MemOp::kRead, addr, addr >> 6);
-            }
-          }
-        }
-      };
-      const bool want_scalar = pipeline != "batched";
-      const bool want_batched = pipeline != "scalar";
-      if (want_scalar) {
-        legs.push_back(Leg{"scalar"});
-      }
-      if (want_batched) {
-        legs.push_back(Leg{"batched"});
-      }
-      // Reps alternate A/B inside one window so thermal/frequency drift
-      // lands on both pipelines evenly.
-      do {
-        std::size_t li = 0;
-        if (want_scalar) {
-          run_rep(legs[li++], scalar_rep);
-        }
-        if (want_batched) {
-          run_rep(legs[li], batched_rep);
-        }
-      } while (total_elapsed() < seconds);
+      });
     });
   } else {
-    legs.push_back(Leg{"em2"});
     em2::Em2Machine& m = *machine;
-    do {
-      run_rep(legs[0], [&] {
-        for (std::size_t i = 0; i < accesses; ++i) {
-          m.access(stream.thread[i], stream.home[i], em2::MemOp::kRead,
-                   static_cast<em2::Addr>(i) * 64);
-        }
-      });
-    } while (total_elapsed() < seconds);
+    timed([&] {
+      for (std::size_t i = 0; i < accesses; ++i) {
+        m.access(stream.thread[i], stream.home[i], em2::MemOp::kRead,
+                 static_cast<em2::Addr>(i) * 64);
+      }
+    });
   }
 
+  const double rate = static_cast<double>(done) / elapsed;
   const std::uint64_t migrations = machine->counters().get("migrations");
   const std::uint64_t evictions = machine->counters().get("evictions");
   const std::uint64_t local = machine->counters().get("accesses_local");
   const std::uint64_t total = machine->counters().get("accesses");
 
   if (json) {
-    for (const Leg& leg : legs) {
-      const double rate =
-          leg.secs > 0.0 ? static_cast<double>(leg.done) / leg.secs : 0.0;
-      em2::JsonWriter w;
-      w.add("bench", "hot_path")
-          .add("arch", std::string(arch))
-          .add("cores", static_cast<std::int64_t>(cores))
-          .add("guest_contexts", static_cast<std::int64_t>(guest_contexts))
-          .add("locality", locality);
-      if (hybrid != nullptr) {
-        w.add("policy", policy_spec).add("pipeline", std::string(leg.name));
-      }
-      // migrations/evictions/local_fraction are whole-process machine
-      // counters (the legs share one machine); per-leg fields are the
-      // timing ones.
-      w.add("accesses", leg.done)
-          .add("seconds", leg.secs)
-          .add("accesses_per_sec", rate)
-          .add("migrations", migrations)
-          .add("evictions", evictions)
-          .add("local_fraction",
-               total ? static_cast<double>(local) / static_cast<double>(total)
-                     : 0.0);
-      w.print();
+    em2::JsonWriter w;
+    w.add("bench", "hot_path")
+        .add("arch", std::string(arch))
+        .add("cores", static_cast<std::int64_t>(cores))
+        .add("guest_contexts", static_cast<std::int64_t>(guest_contexts))
+        .add("locality", locality);
+    if (hybrid != nullptr) {
+      w.add("policy", policy_spec);
     }
+    w.add("accesses", done)
+        .add("seconds", elapsed)
+        .add("accesses_per_sec", rate)
+        .add("migrations", migrations)
+        .add("evictions", evictions)
+        .add("local_fraction",
+             total ? static_cast<double>(local) / static_cast<double>(total)
+                   : 0.0);
+    w.print();
   } else {
     std::printf("=== EM2 hot-path throughput (%s, %d cores, locality %.2f) "
                 "===\n",
@@ -322,24 +197,10 @@ int main(int argc, char** argv) {
     if (hybrid != nullptr) {
       std::printf("policy:        %s\n", policy_spec.c_str());
     }
-    for (const Leg& leg : legs) {
-      const double rate =
-          leg.secs > 0.0 ? static_cast<double>(leg.done) / leg.secs : 0.0;
-      if (hybrid != nullptr) {
-        std::printf("[%s]\n", leg.name);
-      }
-      std::printf("accesses:      %llu\n",
-                  static_cast<unsigned long long>(leg.done));
-      std::printf("elapsed:       %.3f s\n", leg.secs);
-      std::printf("throughput:    %.0f accesses/sec\n", rate);
-    }
-    if (legs.size() == 2 && legs[0].secs > 0.0 && legs[1].done > 0) {
-      const double a = static_cast<double>(legs[0].done) / legs[0].secs;
-      const double b = static_cast<double>(legs[1].done) / legs[1].secs;
-      if (a > 0.0) {
-        std::printf("batched/scalar: %.3fx\n", b / a);
-      }
-    }
+    std::printf("accesses:      %llu\n",
+                static_cast<unsigned long long>(done));
+    std::printf("elapsed:       %.3f s\n", elapsed);
+    std::printf("throughput:    %.0f accesses/sec\n", rate);
     std::printf("migrations:    %llu\n",
                 static_cast<unsigned long long>(migrations));
     std::printf("local:         %llu (%.1f%%)\n",

@@ -532,7 +532,7 @@ RunReport System::run_trace(const TraceSource& traces, const RunSpec& spec,
       StandardPolicy policy = StandardPolicy::make(spec.policy, mesh_, cost);
       const HybridRunReport r =
           em2::run_em2ra(traces, placement, mesh_, cost, config_.em2,
-                         policy, recorder, faults, spec.pipeline);
+                         policy, recorder, faults);
       out.arch_label = "em2-ra(" + r.policy_name + ")";
       fill_from_em2_report(out, r.em2);
       out.remote_accesses = r.remote_accesses;

@@ -135,14 +135,6 @@ struct RunSpec {
   /// around stateless inner schemes; std::invalid_argument at entry
   /// otherwise).
   Cycle skew = 0;
-  /// Trace-mode EM2-RA only: which loop shape run_em2ra uses.  kScalar
-  /// (default) is the per-access reference loop; kBatched is the
-  /// two-phase decide-then-apply tile pipeline, bit-identical to it and
-  /// A/B-measured by bench_hot_path — it wins when decision cost
-  /// dominates the per-access body and loses on memory-bound streams,
-  /// so it stays opt-in (fault-injection runs always take the scalar
-  /// loop).  Other arches and modes ignore the knob.
-  RaPipeline pipeline = RaPipeline::kScalar;
   /// Streamed (TraceStream) sources only: hard budget in bytes for the
   /// reader's resident trace buffers, divided across per-thread cursors —
   /// the knob that makes trace-mode runs out-of-core.  0 = unlimited

@@ -63,52 +63,6 @@ class HybridMachine : public Em2Machine {
                                                 CoreId home, MemOp op,
                                                 Addr addr, Addr block);
 
-  /// Decide-then-apply split of the Figure-3 traversal, for the batched
-  /// two-phase pipeline: phase 1 runs the policy decision over a tile
-  /// with no machine mutation, phase 2 applies each access through one of
-  /// these.  Both are the SAME leg bodies access_hybrid runs — the split
-  /// only hoists the decision out — so the batched and scalar paths
-  /// cannot drift.
-  ///
-  /// access_local serves an access whose thread is at the home core
-  /// (asserted); access_nonlocal applies a precomputed decision for a
-  /// thread away from home (asserted) — callers re-check locality and,
-  /// for location-dependent policies, re-decide when an eviction moved
-  /// the thread between phases.
-  template <typename Policy>
-  EM2_ALWAYS_INLINE HybridOutcome access_local(Policy& policy, ThreadId t,
-                                               CoreId home, MemOp op,
-                                               Addr addr);
-  template <typename Policy>
-  EM2_ALWAYS_INLINE HybridOutcome access_nonlocal(Policy& policy,
-                                                  RaDecision decision,
-                                                  ThreadId t, CoreId home,
-                                                  MemOp op, Addr addr);
-
-  /// Tile primitives for the batched loop proper.  The tile bulk-adds the
-  /// shared access/read/write prologue once per pass (counter totals are
-  /// sums, so front-loading them is invisible in the final report) and
-  /// each apply then runs just the leg body; apply_nonlocal additionally
-  /// takes the thread's already-revalidated location so the leg does not
-  /// re-load it.  Callers owe the machine exactly one bulk prologue per
-  /// (reads + writes) applies — exec mode and the scalar loop keep using
-  /// the self-accounting access_* entry points above.
-  void bulk_access_prologue(std::uint64_t reads, std::uint64_t writes) {
-    counters_.inc(Counter::kAccesses, reads + writes);
-    counters_.inc(Counter::kReads, reads);
-    counters_.inc(Counter::kWrites, writes);
-  }
-  template <typename Policy>
-  EM2_ALWAYS_INLINE HybridOutcome apply_local(Policy& policy, ThreadId t,
-                                              CoreId home, MemOp op,
-                                              Addr addr);
-  template <typename Policy>
-  EM2_ALWAYS_INLINE HybridOutcome apply_nonlocal(Policy& policy,
-                                                 RaDecision decision,
-                                                 ThreadId t, CoreId at,
-                                                 CoreId home, MemOp op,
-                                                 Addr addr);
-
   /// Requester-side accounting for a CROSS-SHARD remote access (relaxed-
   /// sync parallel engine): everything the remote leg of access_hybrid
   /// charges at the requester — the shared access prologue, the remote
@@ -161,17 +115,6 @@ class HybridMachine : public Em2Machine {
         static_cast<std::uint8_t>(op)));
   }
 
-  /// The three Figure-3 outcomes, shared verbatim by access_hybrid and
-  /// the batched access_local / access_nonlocal entry points.
-  template <typename Policy>
-  EM2_ALWAYS_INLINE HybridOutcome local_leg(Policy& policy, ThreadId t,
-                                            CoreId home, MemOp op, Addr addr);
-  template <typename Policy>
-  EM2_ALWAYS_INLINE HybridOutcome nonlocal_leg(Policy& policy,
-                                               RaDecision decision, ThreadId t,
-                                               CoreId at, CoreId home, MemOp op,
-                                               Addr addr);
-
   /// Remote request/reply payload bits indexed by MemOp (reads send an
   /// address and get a word back; writes send address + word and get a
   /// header-only ack) — precomputed so the remote hot path loads two
@@ -183,8 +126,8 @@ class HybridMachine : public Em2Machine {
 };
 
 // Inline below the class for the same reason as Em2Machine::access: this
-// body runs once per EM2-RA memory access from the trace loops, the
-// execution engine, and the benches, and the decision calls inside must
+// body runs once per EM2-RA memory access from the trace loop, the
+// execution engines, and bench_hot_path, and the decision calls inside must
 // inline against the concrete policy the caller's visit selected.
 
 template <typename Policy>
@@ -193,19 +136,24 @@ HybridOutcome HybridMachine::access_hybrid(Policy& policy, ThreadId t,
                                            Addr block) {
   // First-class Figure-3 traversal (not a wrapper over Em2Machine::access,
   // which would re-load and re-compare the thread's location): the shared
-  // prologue runs once, then the three outcomes split across the leg
-  // helpers shared with the batched pipeline's access_local /
-  // access_nonlocal.  Counter and traffic accounting is line-for-line the
-  // same as the EM2 engine's on the local and migrate legs.
+  // prologue runs once, then the three outcomes split.  Counter and
+  // traffic accounting is line-for-line the same as the EM2 engine's on
+  // the local and migrate legs.
   EM2_ASSERT(t >= 0 && static_cast<std::size_t>(t) < num_threads(),
              "unknown thread");
   EM2_ASSERT(home >= 0 && home < mesh().num_cores(),
              "home core outside the mesh");
   access_prologue(op);
   const CoreId at = location(t);
+  HybridOutcome out;
 
   if (at == home) {
-    return local_leg(policy, t, home, op, addr);
+    // Local: identical to Figure 1's left branch.
+    out.base.local = true;
+    counters_.inc(Counter::kAccessesLocal);
+    out.base.memory_latency = serve_memory(home, addr, op);
+    policy.observe(t, home, native(t));
+    return out;
   }
 
   DecisionQuery q;
@@ -215,74 +163,8 @@ HybridOutcome HybridMachine::access_hybrid(Policy& policy, ThreadId t,
   q.native = native(t);
   q.op = op;
   q.block = block;
-  return nonlocal_leg(policy, policy.decide(q), t, at, home, op, addr);
-}
-
-template <typename Policy>
-HybridOutcome HybridMachine::access_local(Policy& policy, ThreadId t,
-                                          CoreId home, MemOp op, Addr addr) {
-  EM2_ASSERT(t >= 0 && static_cast<std::size_t>(t) < num_threads(),
-             "unknown thread");
-  EM2_ASSERT(home >= 0 && home < mesh().num_cores(),
-             "home core outside the mesh");
-  EM2_ASSERT(location(t) == home,
-             "access_local requires the thread at the home core");
-  access_prologue(op);
-  return local_leg(policy, t, home, op, addr);
-}
-
-template <typename Policy>
-HybridOutcome HybridMachine::access_nonlocal(Policy& policy,
-                                             RaDecision decision, ThreadId t,
-                                             CoreId home, MemOp op,
-                                             Addr addr) {
-  EM2_ASSERT(t >= 0 && static_cast<std::size_t>(t) < num_threads(),
-             "unknown thread");
-  EM2_ASSERT(home >= 0 && home < mesh().num_cores(),
-             "home core outside the mesh");
-  access_prologue(op);
-  const CoreId at = location(t);
-  EM2_ASSERT(at != home, "access_nonlocal requires a non-local access");
-  return nonlocal_leg(policy, decision, t, at, home, op, addr);
-}
-
-template <typename Policy>
-HybridOutcome HybridMachine::apply_local(Policy& policy, ThreadId t,
-                                         CoreId home, MemOp op, Addr addr) {
-  EM2_ASSERT(location(t) == home,
-             "apply_local requires the thread at the home core");
-  return local_leg(policy, t, home, op, addr);
-}
-
-template <typename Policy>
-HybridOutcome HybridMachine::apply_nonlocal(Policy& policy,
-                                            RaDecision decision, ThreadId t,
-                                            CoreId at, CoreId home, MemOp op,
-                                            Addr addr) {
-  EM2_ASSERT(at == location(t) && at != home,
-             "apply_nonlocal requires the thread's live non-home location");
-  return nonlocal_leg(policy, decision, t, at, home, op, addr);
-}
-
-template <typename Policy>
-HybridOutcome HybridMachine::local_leg(Policy& policy, ThreadId t,
-                                       CoreId home, MemOp op, Addr addr) {
-  // Local: identical to Figure 1's left branch.
-  HybridOutcome out;
-  out.base.local = true;
-  counters_.inc(Counter::kAccessesLocal);
-  out.base.memory_latency = serve_memory(home, addr, op);
-  policy.observe(t, home, native(t));
-  return out;
-}
-
-template <typename Policy>
-HybridOutcome HybridMachine::nonlocal_leg(Policy& policy, RaDecision decision,
-                                          ThreadId t, CoreId at, CoreId home,
-                                          MemOp op, Addr addr) {
-  HybridOutcome out;
   Cost fault_penalty = 0;
-  if (decision == RaDecision::kMigrate) {
+  if (policy.decide(q) == RaDecision::kMigrate) {
     // Under injected faults the migration may exhaust its retry budget;
     // EM2-RA then gracefully degrades to the remote path below, carrying
     // the cost of the wasted attempts in fault_penalty.

@@ -32,27 +32,19 @@ struct HybridRunReport {
 /// ONE StandardPolicy::visit hoisted outside it: a sealed scheme pays no
 /// virtual call per access, the kCustom alternative runs the same loop
 /// against the DecisionPolicy interface (the retained virtual path).
-///
-/// `pipeline` selects the loop shape: kScalar (default) runs the
-/// per-access reference loop; kBatched runs the two-phase
-/// decide-then-apply tile loop — phase 1 makes every decision of one
-/// round-robin pass in a tight per-policy loop over SoA scratch, phase 2
-/// applies them in pass order — producing bit-identical reports.
-/// Fault-injection runs always take the scalar loop regardless (fault
-/// ticks interleave with individual accesses).
+/// Every access is one HybridMachine::access_hybrid traversal — the same
+/// body the execution-driven engines and bench_hot_path drive.
 HybridRunReport run_em2ra(const TraceSource& traces,
                           const Placement& placement, const Mesh& mesh,
                           const CostModel& cost, const Em2Params& params,
                           StandardPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr,
-                          RaPipeline pipeline = RaPipeline::kScalar);
+                          FaultInjector* faults = nullptr);
 HybridRunReport run_em2ra(const TraceSet& traces, const Placement& placement,
                           const Mesh& mesh, const CostModel& cost,
                           const Em2Params& params, StandardPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr,
-                          RaPipeline pipeline = RaPipeline::kScalar);
+                          FaultInjector* faults = nullptr);
 
 /// Same, always through the virtual DecisionPolicy interface — the
 /// dispatch the sealed path is diffed against (bit-identical reports,
@@ -63,13 +55,11 @@ HybridRunReport run_em2ra(const TraceSource& traces,
                           const CostModel& cost, const Em2Params& params,
                           DecisionPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr,
-                          RaPipeline pipeline = RaPipeline::kScalar);
+                          FaultInjector* faults = nullptr);
 HybridRunReport run_em2ra(const TraceSet& traces, const Placement& placement,
                           const Mesh& mesh, const CostModel& cost,
                           const Em2Params& params, DecisionPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr,
-                          RaPipeline pipeline = RaPipeline::kScalar);
+                          FaultInjector* faults = nullptr);
 
 }  // namespace em2

@@ -179,9 +179,8 @@ class HistoryPolicy final : public DecisionPolicy {
  public:
   explicit HistoryPolicy(std::uint32_t long_run = 2,
                          std::uint32_t capacity = 0);
-  // In-class so the devirtualized loops (and the batched pre-pass, which
-  // runs the predictor read on every gathered access) inline the table
-  // probe instead of paying a call per access.
+  // In-class so the devirtualized loops inline the table probe instead
+  // of paying a call per access.
   RaDecision decide(const DecisionQuery& q) override {
     ThreadState& st = state_for(q.thread);
     // The native core has its own dedicated predictor register, biased
@@ -313,60 +312,6 @@ class CostEstimatePolicy final : public DecisionPolicy {
     return state_[i];
   }
   std::vector<ThreadState> state_;  // flat per-thread state, grown on demand
-};
-
-/// Which loop shape an EM2-RA trace run uses.  kScalar (the RunSpec
-/// default) is the per-access reference loop; kBatched is the two-phase
-/// decide-then-apply pipeline (tiles of one access per thread, decisions
-/// hoisted into a mutation-free phase-1 loop), bit-identical to the
-/// scalar loop and worth opting into when decision cost dominates the
-/// per-access body.  Fault-injection runs always take the scalar loop
-/// (fault ticks interleave with accesses).
-enum class RaPipeline : std::uint8_t {
-  kBatched = 0,
-  kScalar = 1,
-};
-
-/// Compile-time traits for the two-phase decide-then-apply pipeline.
-///
-/// A tile is one round-robin pass — each thread contributes at most one
-/// access — so a policy's PER-THREAD state cannot change between its
-/// phase-1 decision and its phase-2 apply (observes run in phase 2, in
-/// exact scalar order).  kBatchSafeDecide therefore asks only whether
-/// decide() reads state OTHER threads' observes could move within the
-/// same pass: true for the stateless schemes and for HistoryPolicy
-/// (decide reads nothing but the querying thread's own table), false for
-/// CostEstimatePolicy (decide reads the cross-thread run-length EWMA,
-/// which earlier entries' observes update) and for anything opaque.
-/// kDecideReadsLocation flags schemes whose decision depends on
-/// q.current: their phase-1 verdict must be recomputed at apply time if
-/// an eviction moved the thread mid-tile (evictions are the only
-/// intra-pass movers).  Defaults are the conservative pair, so a custom
-/// policy is scalar-ordered unless it opts in via a specialization.
-template <typename P>
-struct PolicyBatchTraits {
-  static constexpr bool kBatchSafeDecide = false;
-  static constexpr bool kDecideReadsLocation = true;
-};
-template <>
-struct PolicyBatchTraits<AlwaysMigratePolicy> {
-  static constexpr bool kBatchSafeDecide = true;
-  static constexpr bool kDecideReadsLocation = false;
-};
-template <>
-struct PolicyBatchTraits<AlwaysRemotePolicy> {
-  static constexpr bool kBatchSafeDecide = true;
-  static constexpr bool kDecideReadsLocation = false;
-};
-template <>
-struct PolicyBatchTraits<DistanceThresholdPolicy> {
-  static constexpr bool kBatchSafeDecide = true;
-  static constexpr bool kDecideReadsLocation = true;
-};
-template <>
-struct PolicyBatchTraits<HistoryPolicy> {
-  static constexpr bool kBatchSafeDecide = true;
-  static constexpr bool kDecideReadsLocation = false;
 };
 
 /// Flat type-erased dispatch table for the kCustom escape hatch.

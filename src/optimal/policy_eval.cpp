@@ -15,15 +15,15 @@ MigrateRaSolution evaluate_policy_model_impl(const ModelTrace& trace,
   sol.actions.resize(n);
   sol.locations.resize(n);
 
-  // Model flavour of the decide-then-apply pipeline.  The single-thread
-  // model couples every decision to the location its own predecessors
-  // produced, so a tile-wide phase 1 is only possible for schemes whose
-  // action stream is a pure function of the home sequence: always-remote
-  // pins the thread at trace.start, always-migrate pins it at the
-  // previous home.  Those two run a branch-light single pass below
-  // (their observe() is the inherited no-op, so eliding it changes
-  // nothing); every other scheme — and the erased/virtual paths, which
-  // reach here type-opaque — keeps the sequential decide-apply loop.
+  // Single-pass shortcuts for the two schemes whose action stream is a
+  // pure function of the home sequence: always-remote pins the thread at
+  // trace.start, always-migrate pins it at the previous home (their
+  // observe() is the inherited no-op, so eliding it changes nothing).
+  // This is a compile-time selection by policy type, not a user knob, and
+  // it pays for itself: the generic decide-apply loop below produces the
+  // same ratios but ran the bench_decision_schemes summary about 5%
+  // slower in median.  Every other scheme — and the erased/virtual paths,
+  // which reach here type-opaque — keeps the sequential loop.
   if constexpr (std::is_same_v<Policy, AlwaysRemotePolicy>) {
     (void)policy;
     for (std::size_t k = 0; k < n; ++k) {

@@ -62,12 +62,15 @@ Cost ExecSystem::serve_access(ThreadId t, const PendingAccess& mem) {
   const CoreId home =
       params_.arch == MemArch::kCc ? kNoCore : home_of(mem.addr);
   Cost latency = 0;
-  CoreId served_at = home;
+  // Where the access actually executed, as the machine reports it — the
+  // SC witness's single-home check compares this against `home`.
+  CoreId served_at = kNoCore;
 
   switch (params_.arch) {
     case MemArch::kEm2: {
       const AccessOutcome out = em2_->access(t, home, mem.op, mem.addr);
       latency = out.thread_cost + out.memory_latency;
+      served_at = em2_->location(t);
       if (out.evicted_thread != kNoThread) {
         const Thread& victim =
             threads_[static_cast<std::size_t>(out.evicted_thread)];
@@ -80,26 +83,14 @@ Cost ExecSystem::serve_access(ThreadId t, const PendingAccess& mem) {
       const Addr block = mem.addr >> block_shift_;
       // Sealed-policy dispatch: a switch over the concrete scheme, every
       // branch a direct inlinable call (kCustom alone stays virtual).
-      // Inside runs the decide-then-apply split at tile size one:
-      // classify + decide first, with no machine mutation, then apply
-      // through the same leg primitives the batched trace pipeline uses —
-      // so exec mode shares the trace loops' decision/apply seam.
       const HybridOutcome out = ra_policy_->visit([&](auto& p) {
-        const CoreId at = hybrid_->location(t);
-        if (at == home) {
-          return hybrid_->access_local(p, t, home, mem.op, mem.addr);
-        }
-        DecisionQuery q;
-        q.thread = t;
-        q.current = at;
-        q.home = home;
-        q.native = hybrid_->native(t);
-        q.op = mem.op;
-        q.block = block;
-        return hybrid_->access_nonlocal(p, p.decide(q), t, home, mem.op,
-                                        mem.addr);
+        return hybrid_->access_hybrid(p, t, home, mem.op, mem.addr, block);
       });
       latency = out.base.thread_cost + out.base.memory_latency;
+      // A remote access is served by the home core's handler while the
+      // thread stays put; local and migrate outcomes execute wherever the
+      // thread now is.
+      served_at = out.remote ? home : hybrid_->location(t);
       if (out.base.evicted_thread != kNoThread) {
         const Thread& victim =
             threads_[static_cast<std::size_t>(out.base.evicted_thread)];
@@ -121,20 +112,20 @@ Cost ExecSystem::serve_access(ThreadId t, const PendingAccess& mem) {
   }
 
   // Functional value flow + consistency witness.  Under EM2 and EM2-RA
-  // the access is always *served* at the home core (after a migration, or
-  // by the home-side remote-access handler); under CC it is served at the
+  // the access must be served at the home core (after a migration, or by
+  // the home-side remote-access handler), so the witness flags any access
+  // the machine executed elsewhere; under CC it is served at the
   // requester, where the single-home invariant does not apply.
   Thread& th = threads_[static_cast<std::size_t>(t)];
   const CoreId checker_home =
       params_.arch == MemArch::kCc ? served_at : home;
-  const CoreId at_now = params_.arch == MemArch::kCc ? served_at : home;
   if (mem.op == MemOp::kRead) {
     const std::uint32_t value = memory_.load(mem.addr);
-    checker_.on_load(t, mem.addr, value, at_now, checker_home);
+    checker_.on_load(t, mem.addr, value, served_at, checker_home);
     RegInterpreter::complete_load(th.ctx, mem.dst_reg, value);
   } else {
     memory_.store(mem.addr, mem.store_value);
-    checker_.on_store(t, mem.addr, mem.store_value, at_now, checker_home);
+    checker_.on_store(t, mem.addr, mem.store_value, served_at, checker_home);
   }
   return latency;
 }

@@ -1,7 +1,7 @@
 // Capture early stop (CaptureStop::kWhenFinal): a capped calibration
 // capture may end its run once no later packet can enter the kept set.
 // Pins, for every capture loop (em2, em2 + ro-replication, em2-ra
-// distance:4 and history under both pipelines, cc), that the stopped
+// distance:4 and history, cc), that the stopped
 // capture keeps exactly the packets of the full recording — field by
 // field after prepare_calibration_events — and that it really stopped
 // early.  Also pins the default contract: a recorder that is not told it
@@ -32,9 +32,7 @@ enum class Engine {
   kEm2,
   kEm2Replicated,
   kRaDistance,
-  kRaDistanceBatched,
   kRaHistory,
-  kRaHistoryBatched,
   kCc,
 };
 
@@ -46,12 +44,8 @@ const char* name(Engine e) {
       return "em2+ro-replication";
     case Engine::kRaDistance:
       return "em2-ra distance:4";
-    case Engine::kRaDistanceBatched:
-      return "em2-ra distance:4 batched";
     case Engine::kRaHistory:
       return "em2-ra history";
-    case Engine::kRaHistoryBatched:
-      return "em2-ra history batched";
     case Engine::kCc:
       return "cc";
   }
@@ -110,19 +104,13 @@ Outcome run(const Inputs& s, Engine engine, TrafficRecorder* recorder,
                                    recorder);
       break;
     case Engine::kRaDistance:
-    case Engine::kRaDistanceBatched:
-    case Engine::kRaHistory:
-    case Engine::kRaHistoryBatched: {
-      const bool history = engine == Engine::kRaHistory ||
-                           engine == Engine::kRaHistoryBatched;
-      const bool batched = engine == Engine::kRaDistanceBatched ||
-                           engine == Engine::kRaHistoryBatched;
+    case Engine::kRaHistory: {
+      const bool history = engine == Engine::kRaHistory;
       StandardPolicy policy =
           StandardPolicy::make(history ? "history" : "distance:4", mesh, cost);
-      const HybridRunReport r = run_em2ra(
-          s.w.traces(), *s.placement, mesh, cost, cfg.em2, policy, recorder,
-          injector.get(),
-          batched ? RaPipeline::kBatched : RaPipeline::kScalar);
+      const HybridRunReport r =
+          run_em2ra(s.w.traces(), *s.placement, mesh, cost, cfg.em2, policy,
+                    recorder, injector.get());
       out.em2 = r.em2;
       out.remote_accesses = r.remote_accesses;
       out.remote_request_bits = r.remote_request_bits;
@@ -162,10 +150,8 @@ void expect_same_events(const std::vector<TrafficEvent>& want,
 }
 
 constexpr Engine kEngines[] = {
-    Engine::kEm2,        Engine::kEm2Replicated,
-    Engine::kRaDistance, Engine::kRaDistanceBatched,
-    Engine::kRaHistory,  Engine::kRaHistoryBatched,
-    Engine::kCc,
+    Engine::kEm2,       Engine::kEm2Replicated, Engine::kRaDistance,
+    Engine::kRaHistory, Engine::kCc,
 };
 
 class CaptureEarlyStop : public ::testing::TestWithParam<std::string> {};
