@@ -101,8 +101,8 @@ class FunctionalMemory {
   }
   std::size_t words_written() const noexcept { return words_; }
   /// Visits every written word as f(addr, value), in no particular order
-  /// — the sharded engines fold owner-shard partitions back into the
-  /// system memory through this after a run.
+  /// — the relaxed sharded engine folds owner-shard partitions back into
+  /// the system memory through this after a run.
   template <typename F>
   void for_each_word(F&& f) const {
     pages_.for_each([&](std::uint64_t key, const Page& p) {

@@ -1,29 +1,15 @@
-// Host-parallel execution of a single simulation run (ExecParams::shards).
+// Host-parallel execution of a single simulation run (ExecParams::shards
+// with ExecParams::skew > 0): the relaxed-synchronization engine.
 //
-// Two engines live here, selected by ExecParams::skew:
-//
-//   Exact mode (skew == 0, run_event_parallel)
-//     At each cycle's start a worker pool SPECULATES every ready core's
-//     instruction step on a private context copy (RegInterpreter::step is
-//     const and writes only the context it is given).  Then run_event's
-//     own serial walk (issue_cycle) steps the cycle, adopting a
-//     speculation wherever its round-robin pick matches; a mismatch (an
-//     earlier step changed readiness or residency) or a core readied
-//     mid-cycle steps serially.  The result is BIT-IDENTICAL to run_event
-//     by construction — the walk is the same code performing the same
-//     operations in the same order; speculation only pre-computes pure
-//     values.
-//
-//   Relaxed mode (skew > 0, RelaxedEngine)
-//     The mesh is partitioned into contiguous shards, each with its own
-//     protocol machine, functional-memory partition, consistency checker,
-//     decision policy, and event scheduler.  Shards advance independently
-//     up to a quantum boundary; cross-shard traffic (migrations, eviction
-//     transfers, remote accesses) queues at the shard edge and is
-//     delivered at the barrier in deterministic (cycle, thread) order.
-//     Deterministic for a fixed (shards, skew) and independent of how
-//     many worker threads the budget grants — but a different (still
-//     protocol-valid) interleaving than the sequential engine.
+// The mesh is partitioned into contiguous shards, each with its own
+// protocol machine, functional-memory partition, consistency checker,
+// decision policy, and event scheduler.  Shards advance independently up
+// to a quantum boundary; cross-shard traffic (migrations, eviction
+// transfers, remote accesses) queues at the shard edge and is delivered
+// at the barrier in deterministic (cycle, thread) order.  Deterministic
+// for a fixed (shards, skew) and independent of how many worker threads
+// the budget grants — but a different (still protocol-valid)
+// interleaving than the sequential engine.
 //
 // Worker threads are leased from the shared process budget
 // (util/thread_budget.hpp): a run that gets fewer (or zero) helpers
@@ -115,63 +101,9 @@ class SpinPool {
   std::vector<std::thread> threads_;
 };
 
-/// Below this many issuing cores the fork/join round trip costs more than
-/// the interpreter steps it parallelizes; speculate inline instead (the
-/// results are identical either way — only wall-clock changes).
-constexpr std::size_t kSpeculateInlineCutoff = 16;
-
 constexpr Cycle kFarFuture = std::numeric_limits<Cycle>::max();
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Exact mode: speculate in parallel, commit in sequential order.
-
-void ExecSystem::run_event_parallel(Cycle max_cycles, std::uint32_t nshards) {
-  init_event_structures();
-  const ThreadBudgetLease lease(nshards - 1);
-  SpinPool pool(lease.granted());
-  std::vector<CoreId> issue;
-  std::vector<Spec> specs;
-
-  while (begin_event_cycle(max_cycles)) {
-    // --- Phase A: speculate every ready core's step in parallel. ---
-    // Pure reads of scheduler state plus a const interpreter step on a
-    // private context copy; fault stall draws are NOT consulted here (they
-    // are accounting-bearing and belong to the commit walk).
-    issue.clear();
-    for (CoreId core = q_.ready_cores.next_after(-1); core != kNoCore;
-         core = q_.ready_cores.next_after(core)) {
-      issue.push_back(core);
-    }
-    specs.resize(issue.size());  // reuses the slots of earlier cycles
-    const auto speculate = [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        Spec& sp = specs[i];
-        sp.core = issue[i];
-        sp.chosen = select_ready_resident(q_, sp.core);
-        EM2_ASSERT(sp.chosen != kNoThread,
-                   "ready-core set out of sync with resident queues");
-        const Thread& th = threads_[static_cast<std::size_t>(sp.chosen)];
-        sp.ctx = th.ctx;
-        sp.res = th.interp->step(sp.ctx);
-      }
-    };
-    if (specs.size() < kSpeculateInlineCutoff || pool.parts() == 1) {
-      speculate(0, specs.size());
-    } else {
-      pool.run([&](std::size_t part, std::size_t nparts) {
-        speculate(specs.size() * part / nparts,
-                  specs.size() * (part + 1) / nparts);
-      });
-    }
-    // --- Phase B: run_event's serial walk, adopting valid speculations.
-    issue_cycle(specs);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Relaxed mode: per-shard machines with quantum-barrier traffic exchange.
 
 struct RelaxedEngine {
   using Wakeup = ExecSystem::Wakeup;
@@ -268,16 +200,19 @@ struct RelaxedEngine {
 
   /// Functional value flow + consistency witness on the home shard's
   /// partition (the relaxed analogue of the tail of serve_access).
-  void serve_value(Shard& home_shard, ThreadId t, CoreId home,
-                   const PendingAccess& mem) {
+  /// `served_at` is where the access actually executed, as the machines
+  /// report it — the witness's single-home check compares it to `home`.
+  void serve_value(Shard& home_shard, ThreadId t, CoreId served_at,
+                   CoreId home, const PendingAccess& mem) {
     ExecSystem::Thread& th = sys.threads_[static_cast<std::size_t>(t)];
     if (mem.op == MemOp::kRead) {
       const std::uint32_t value = home_shard.memory.load(mem.addr);
-      home_shard.checker.on_load(t, mem.addr, value, home, home);
+      home_shard.checker.on_load(t, mem.addr, value, served_at, home);
       RegInterpreter::complete_load(th.ctx, mem.dst_reg, value);
     } else {
       home_shard.memory.store(mem.addr, mem.store_value);
-      home_shard.checker.on_store(t, mem.addr, mem.store_value, home, home);
+      home_shard.checker.on_store(t, mem.addr, mem.store_value, served_at,
+                                  home);
     }
   }
 
@@ -319,7 +254,7 @@ struct RelaxedEngine {
       if (local_home) {
         const AccessOutcome out = s.machine->access(t, home, mem.op, mem.addr);
         handle_victim(s, out.evicted_thread, out.eviction_cost);
-        serve_value(s, t, home, mem);
+        serve_value(s, t, s.machine->location(t), home, mem);
         set_ready_at(s, t, s.now + out.thread_cost + out.memory_latency);
       } else {
         const Cost cost = s.machine->depart_for_migration(t, home, mem.op);
@@ -336,7 +271,11 @@ struct RelaxedEngine {
         return s.hybrid->access_hybrid(p, t, home, mem.op, mem.addr, block);
       });
       handle_victim(s, out.base.evicted_thread, out.base.eviction_cost);
-      serve_value(s, t, home, mem);
+      // A remote access is served by the home core's handler while the
+      // thread stays put; a local or migrate outcome executes where the
+      // thread now is.
+      serve_value(s, t, out.remote ? home : s.machine->location(t), home,
+                  mem);
       set_ready_at(s, t,
                    s.now + out.base.thread_cost + out.base.memory_latency);
       return;
@@ -511,8 +450,12 @@ struct RelaxedEngine {
         case Msg::Kind::kMigrate:
           deliver(m.thread, m.dest, std::max(m.cycle + m.cost, t_end + 1),
                   m.cycle, t_end);
-          // The access executes at the home core, on the home partition.
-          serve_value(shard_at(m.dest), m.thread, m.dest, m.mem);
+          // The access executes wherever the delivery landed the thread
+          // (per its new owner's machine), on the home partition.
+          serve_value(shard_at(m.dest), m.thread,
+                      shards[owner[static_cast<std::size_t>(m.thread)]]
+                          .machine->location(m.thread),
+                      m.dest, m.mem);
           break;
         case Msg::Kind::kEvict:
           deliver(m.thread, m.dest,
@@ -523,7 +466,7 @@ struct RelaxedEngine {
           break;
         case Msg::Kind::kRemote: {
           // Home-side service; the thread never moved.
-          serve_value(shard_at(m.dest), m.thread, m.dest, m.mem);
+          serve_value(shard_at(m.dest), m.thread, m.dest, m.dest, m.mem);
           Shard& o = shards[owner[static_cast<std::size_t>(m.thread)]];
           set_ready_at(o, m.thread, std::max(m.cycle + m.cost, t_end + 1));
           break;
@@ -739,8 +682,6 @@ void RelaxedEngine::ShardObserver::on_thread_moved(ThreadId t, CoreId from,
 }
 
 ExecReport ExecSystem::run_relaxed(Cycle max_cycles, std::uint32_t nshards) {
-  EM2_ASSERT(params_.skew > 0 && nshards > 1,
-             "run_relaxed requires skew > 0 and more than one shard");
   if (params_.arch == MemArch::kEm2Ra) {
     EM2_ASSERT(policy_spec_is_shardable(params_.ra_policy),
                "relaxed-sync sharding (skew > 0) requires a "

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "util/assert.hpp"
-#include "util/thread_budget.hpp"
 
 namespace em2 {
 
@@ -270,11 +269,6 @@ void ExecSystem::on_thread_moved(ThreadId t, CoreId from, CoreId to) {
 void ExecSystem::step_thread(ThreadId chosen) {
   Thread& th = threads_[static_cast<std::size_t>(chosen)];
   const StepResult r = th.interp->step(th.ctx);
-  finish_step(chosen, r);
-}
-
-void ExecSystem::finish_step(ThreadId chosen, const StepResult& r) {
-  Thread& th = threads_[static_cast<std::size_t>(chosen)];
   ++report_.instructions;
   last_progress_ = now_;
   switch (r.kind) {
@@ -389,13 +383,12 @@ bool ExecSystem::begin_event_cycle(Cycle max_cycles) {
   return true;
 }
 
-void ExecSystem::issue_cycle(std::span<const Spec> specs) {
+void ExecSystem::issue_cycle() {
   // Step each ready core once, in ascending core order.  The walk re-reads
   // the bitset after every step, so a migration landing on a *later* core
   // this cycle is stepped before the cycle ends (as the scan scheduler
   // would see it), while cores at or below the cursor — including a
   // stepped core that stays ready — wait for the next cycle.
-  std::size_t si = 0;
   for (CoreId core = q_.ready_cores.next_after(-1); core != kNoCore;
        core = q_.ready_cores.next_after(core)) {
     if (faults_ != nullptr && faults_->core_stalled(core, now_)) {
@@ -409,31 +402,14 @@ void ExecSystem::issue_cycle(std::span<const Spec> specs) {
                "ready-core set out of sync with resident queues");
     rr_[static_cast<std::size_t>(core)] =
         static_cast<std::uint32_t>(chosen + 1);
-    // Specs are ascending by core, so one forward cursor finds this
-    // core's speculation, if any.
-    while (si < specs.size() && specs[si].core < core) {
-      ++si;
-    }
-    if (si < specs.size() && specs[si].core == core &&
-        specs[si].chosen == chosen) {
-      // The speculation targeted the thread this walk picks, and nothing
-      // before this step wrote its context (each thread steps at most once
-      // per cycle; accesses only touch the issuing thread's own context)
-      // — adopt the speculated step.
-      threads_[static_cast<std::size_t>(chosen)].ctx = specs[si].ctx;
-      finish_step(chosen, specs[si].res);
-    } else {
-      // No speculation (sequential run, or the core became ready this
-      // cycle), or an earlier step changed the selection: step serially.
-      step_thread(chosen);
-    }
+    step_thread(chosen);
   }
 }
 
 void ExecSystem::run_event(Cycle max_cycles) {
   init_event_structures();
   while (begin_event_cycle(max_cycles)) {
-    issue_cycle({});
+    issue_cycle();
   }
 }
 
@@ -478,20 +454,6 @@ void ExecSystem::run_scan(Cycle max_cycles) {
   }
 }
 
-std::uint32_t ExecSystem::resolve_shards() const {
-  std::uint32_t s = params_.shards;
-  if (s == 0) {
-    // Auto: the shared process thread budget.  At skew=0 the shard count
-    // never affects the report, so auto is always safe; at skew>0 the
-    // resolved count is part of the simulated configuration and therefore
-    // machine-dependent — pin shards explicitly for reproducible relaxed
-    // runs (System::validate enforces this).
-    s = static_cast<std::uint32_t>(thread_budget_total());
-  }
-  const auto cores = static_cast<std::uint32_t>(mesh_.num_cores());
-  return std::min(std::max<std::uint32_t>(s, 1), cores);
-}
-
 ExecReport ExecSystem::run(Cycle max_cycles) {
   EM2_ASSERT(!started_,
              "ExecSystem::run is single-shot: build a new system to re-run "
@@ -501,10 +463,15 @@ ExecReport ExecSystem::run(Cycle max_cycles) {
   faults_ = params_.faults;
   EM2_ASSERT(faults_ == nullptr || params_.arch != MemArch::kCc,
              "fault injection is EM2/EM2-RA only (no CC fault model)");
-  const std::uint32_t nshards = resolve_shards();
-  EM2_ASSERT(nshards <= 1 || event_mode_,
-             "sharded execution requires the event-driven scheduler");
-  if (nshards > 1 && params_.skew > 0) {
+  if (params_.skew > 0) {
+    // The same entry rules System::validate applies to RunSpec: the shard
+    // count is part of the relaxed configuration, so it must be explicit.
+    EM2_ASSERT(params_.shards > 1,
+               "relaxed-sync sharding (skew > 0) needs an explicit shard "
+               "count > 1");
+    EM2_ASSERT(event_mode_,
+               "relaxed-sync sharding (skew > 0) requires the event-driven "
+               "scheduler");
     EM2_ASSERT(params_.arch != MemArch::kCc,
                "relaxed-sync sharding (skew > 0) has no CC partition");
     EM2_ASSERT(faults_ == nullptr,
@@ -512,16 +479,16 @@ ExecReport ExecSystem::run(Cycle max_cycles) {
                "(the injector's accounting is order-dependent)");
     EM2_ASSERT(!params_.em2.model_caches,
                "relaxed-sync sharding (skew > 0) rejects modelled caches");
-    return run_relaxed(max_cycles, nshards);
+    return run_relaxed(
+        max_cycles, std::min(params_.shards,
+                             static_cast<std::uint32_t>(mesh_.num_cores())));
   }
   init_machines();
 
   report_ = ExecReport{};
   report_.finish_cycle.assign(threads_.size(), 0);
 
-  if (event_mode_ && nshards > 1) {
-    run_event_parallel(max_cycles, nshards);
-  } else if (event_mode_) {
+  if (event_mode_) {
     run_event(max_cycles);
   } else {
     run_scan(max_cycles);

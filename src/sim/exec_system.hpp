@@ -39,7 +39,6 @@
 #include <memory>
 #include <optional>
 #include <queue>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -114,27 +113,27 @@ struct ExecParams {
   /// the run terminates with a structured diagnosis instead of spinning
   /// (or, in event mode, jumping) toward max_cycles.  0 disables.
   Cycle watchdog_cycles = 0;
-  /// Host-parallel execution: the mesh is partitioned into this many
-  /// contiguous shards, each advanced by (up to) one host thread.
-  /// 1 = the sequential engine; 0 = auto (the shared thread budget,
-  /// clamped to the core count); >1 requires kEventDriven.  Worker
-  /// threads are leased from the process thread budget — a run that gets
-  /// fewer (or zero) helpers still simulates the configured shard count
-  /// and produces the identical report.
+  /// Relaxed-sync shard count, read only when skew > 0: the mesh is
+  /// partitioned into this many contiguous shards (clamped to the core
+  /// count), each advanced by (up to) one host thread.  Must then be an
+  /// explicit value > 1.  Worker threads are leased from the process
+  /// thread budget — a run that gets fewer (or zero) helpers still
+  /// simulates the configured shard count and produces the identical
+  /// report.  At skew = 0 every value runs the sequential engine.
   std::uint32_t shards = 1;
-  /// Relaxed-synchronization quantum in cycles.  0 (the default) keeps
-  /// the sharded run BIT-IDENTICAL to the sequential event scheduler
-  /// (speculate-in-parallel, commit-in-order).  >0 lets each shard run
-  /// ahead up to `skew` cycles between barriers, with cross-shard
-  /// migrations, evictions, and remote accesses delivered at the next
-  /// barrier — deterministic for a fixed (shards, skew), but a different
-  /// (still protocol-valid) interleaving than the sequential engine.
-  /// Requires EM2/EM2-RA (no CC), no fault injection, no modelled
-  /// caches, and a shard-partitionable decision policy (every standard
-  /// scheme qualifies: stateless kinds are copied per shard; history
-  /// state rides with its thread across shard crossings; cost-estimate
-  /// shards log run-length samples locally and fold them into one EWMA
-  /// at each barrier, in shard-index order); ignored when shards <= 1.
+  /// Relaxed-synchronization quantum in cycles.  0 (the default) runs
+  /// the sequential engine.  >0 runs the sharded relaxed engine: each
+  /// shard runs ahead up to `skew` cycles between barriers, with
+  /// cross-shard migrations, evictions, and remote accesses delivered at
+  /// the next barrier — deterministic for a fixed (shards, skew), but a
+  /// different (still protocol-valid) interleaving than the sequential
+  /// engine.  Requires shards > 1, kEventDriven, EM2/EM2-RA (no CC), no
+  /// fault injection, no modelled caches, and a shard-partitionable
+  /// decision policy (every standard scheme qualifies: stateless kinds
+  /// are copied per shard; history state rides with its thread across
+  /// shard crossings; cost-estimate shards log run-length samples
+  /// locally and fold them into one EWMA at each barrier, in
+  /// shard-index order).
   Cycle skew = 0;
 };
 
@@ -217,11 +216,11 @@ class ExecSystem final : private ThreadMoveObserver {
   };
 
   /// Event-scheduler queues: per-core residency and ready counts, the
-  /// ready-core bitset and the wakeup heap.  The sequential and exact
-  /// engines keep one over the whole mesh; each relaxed shard keeps its
-  /// own, in which only the shard's cores ever hold residents.  Residency
-  /// mirrors the machines' thread locations (updated by on_thread_moved,
-  /// never rediscovered by scans).
+  /// ready-core bitset and the wakeup heap.  The sequential engine keeps
+  /// one over the whole mesh; each relaxed shard keeps its own, in which
+  /// only the shard's cores ever hold residents.  Residency mirrors the
+  /// machines' thread locations (updated by on_thread_moved, never
+  /// rediscovered by scans).
   struct EventQueues {
     std::vector<std::vector<ThreadId>> residents;  // per core, sorted by id
     std::vector<std::uint32_t> ready_count;  // ready residents per core
@@ -303,42 +302,20 @@ class ExecSystem final : private ThreadMoveObserver {
     }
   }
 
-  /// One speculated instruction step (exact sharded mode): `chosen`'s
-  /// step on `core`, computed on a private copy of its context.
-  struct Spec {
-    CoreId core = kNoCore;
-    ThreadId chosen = kNoThread;
-    StepResult res{};
-    ExecutionContext ctx{};
-  };
-
   void run_scan(Cycle max_cycles);
   void run_event(Cycle max_cycles);
-  /// Event-scheduler cycle top shared by run_event and the exact sharded
-  /// walk: advances now_ (one cycle, or a jump over a fully stalled
-  /// stretch), runs the watchdog and fault bookkeeping, and readies due
-  /// wakeups.  Returns false when the run is over.
+  /// Event-scheduler cycle top: advances now_ (one cycle, or a jump over
+  /// a fully stalled stretch), runs the watchdog and fault bookkeeping,
+  /// and readies due wakeups.  Returns false when the run is over.
   bool begin_event_cycle(Cycle max_cycles);
-  /// Steps every ready core once in ascending order, adopting the
-  /// speculation in `specs` (ascending by core) that still matches the
-  /// sequential pick.
-  void issue_cycle(std::span<const Spec> specs);
-
-  // Sharded execution (sim/exec_parallel.cpp).  Exact mode (skew=0)
-  // speculates instruction steps across a worker pool and commits them
-  // serially in the sequential scheduler's order — bit-identical by
-  // construction.  Relaxed mode (skew>0) gives each shard its own
-  // machine/memory/checker partition and exchanges cross-shard traffic at
-  // quantum barriers.
-  /// Builds the event-scheduler residency/ready structures (shared by
-  /// run_event and the exact-mode parallel walk).
+  /// Steps every ready core once in ascending order.
+  void issue_cycle();
+  /// Builds the event-scheduler residency/ready structures.
   void init_event_structures();
-  /// Everything step_thread does after the interpreter step itself —
-  /// lets the exact-mode engine commit a speculated StepResult.
-  void finish_step(ThreadId chosen, const StepResult& r);
-  /// Shard count this run resolves to (params_.shards, with 0 = auto).
-  std::uint32_t resolve_shards() const;
-  void run_event_parallel(Cycle max_cycles, std::uint32_t nshards);
+
+  // Relaxed-sync sharding (sim/exec_parallel.cpp, skew > 0): each shard
+  // gets its own machine/memory/checker partition and cross-shard traffic
+  // is exchanged at quantum barriers.
   ExecReport run_relaxed(Cycle max_cycles, std::uint32_t nshards);
   friend struct RelaxedEngine;
 

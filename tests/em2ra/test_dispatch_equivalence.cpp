@@ -83,11 +83,10 @@ TEST(DispatchEquivalence, StaticAndVirtualPathsAreBitIdentical) {
 }
 
 TEST(DispatchEquivalence, ShardedExactExecMatchesAcrossDispatch) {
-  // shards=4/skew=0 column: the speculate-parallel/commit-serial engine
-  // must preserve dispatch-invariance too (its speculation replays the
-  // policy's decide path on worker threads; a dispatch-dependent result
-  // would surface here as a diverging report).  Identity to the
-  // sequential engine itself is covered by RunSpecSharding.
+  // shards=4/skew=0 column: a shard count at skew = 0 runs the
+  // sequential engine, which must preserve dispatch-invariance there too
+  // (a dispatch-dependent result would surface here as a diverging
+  // report).  Identity to shards = 1 itself is covered by RunSpecSharding.
   SystemConfig cfg;
   cfg.threads = 16;
   const System sys(cfg);

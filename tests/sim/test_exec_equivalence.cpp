@@ -6,11 +6,10 @@
 // plus a 1024-core smoke run that only the event-driven scheduler could
 // finish in test-suite time.
 //
-// The matrix is two-dimensional: arch x host shard count.  shards > 1
-// runs the speculate-parallel/commit-serial engine (skew = 0), whose
-// contract is the same bit-identity — worker threads may only ever
-// change wall-clock time, never a report field.  Under TSan the sharded
-// columns double as the data-race probe for the speculation buffers.
+// The matrix is two-dimensional: arch x host shard count.  At skew = 0
+// the shard count selects no engine (every value runs the sequential
+// one), so the shards > 1 columns pin that a shard count alone never
+// changes a report field.
 #include <gtest/gtest.h>
 
 #include <cstdint>

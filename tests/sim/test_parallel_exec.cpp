@@ -1,6 +1,7 @@
-// The host-parallel single-run engine beyond the bit-identity matrix
-// (tests/sim/test_exec_equivalence.cpp covers arch x shard-count at
-// skew = 0):
+// The host-parallel single-run engine (relaxed sync, skew > 0).  At
+// skew = 0 every shard count runs the sequential engine; the
+// arch x shard-count matrix in tests/sim/test_exec_equivalence.cpp pins
+// that those reports stay identical.
 //
 //  - relaxed mode (skew > 0) is DETERMINISTIC for a fixed (shards, skew)
 //    — identical reports across repeats and across any helper-thread
@@ -10,7 +11,8 @@
 //    a different machine);
 //  - RunSpec::shards / RunSpec::skew entry checks reject every
 //    configuration whose relaxed result would be machine-dependent or
-//    whose machinery cannot be partitioned;
+//    whose machinery cannot be partitioned, and ExecSystem::run asserts
+//    the same shard-count rule for direct users;
 //  - nested parallelism (a sweep of sharded runs) stays within the
 //    shared process thread budget instead of multiplying widths.
 #include <gtest/gtest.h>
@@ -301,6 +303,19 @@ TEST(RunSpecSharding, ShardedExactRunReportsIdenticallyToSequential) {
   }
 }
 
+TEST(RelaxedExecDeathTest, SkewWithoutAnExplicitShardCountDies) {
+  // Direct ExecSystem users get System::validate's rule: skew > 0 needs
+  // an explicit shards > 1, never a silently ignored skew (shards = 1)
+  // or a host-dependent shard count (shards = 0).
+  for (const std::uint32_t shards : {1u, 0u}) {
+    RelaxedSpec spec;
+    spec.shards = shards;
+    spec.skew = 100;
+    EXPECT_DEATH((void)run_relaxed(spec), "explicit shard count")
+        << "shards=" << shards;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Shared thread budget (the oversubscription bugfix).
 
@@ -346,7 +361,7 @@ TEST(ThreadBudget, ExactModeShardedRunsShareTheBudgetToo) {
   StripedPlacement placement(mesh.num_cores());
   const auto reports = sweep::run(4, [&](std::size_t i) {
     ExecParams params;
-    params.shards = 4;  // skew = 0: exact mode
+    params.shards = 4;  // skew = 0: the sequential engine
     ExecSystem sys(mesh, cost, params, placement);
     for (std::int32_t t = 0; t < 4; ++t) {
       const Addr base = 0x10000 + static_cast<Addr>(t) * 0x4000;
