@@ -15,8 +15,17 @@ namespace em2 {
 
 namespace {
 
-/// Shared-counter fill common to the EM2-flavoured trace reports.
-void fill_from_em2_report(RunReport& out, const Em2RunReport& r) {
+void finish_cost_per_access(RunReport& out) {
+  out.cost_per_access = out.accesses
+                            ? static_cast<double>(out.network_cost) /
+                                  static_cast<double>(out.accesses)
+                            : 0.0;
+}
+
+/// The fill common to the EM2-flavoured trace reports; a faulted run
+/// (non-null `faults`) also reports its thread-conservation verdict.
+void fill_from_em2_report(RunReport& out, const Em2RunReport& r,
+                          const FaultInjector* faults) {
   out.accesses = r.counters.get("accesses");
   out.migrations = r.counters.get("migrations");
   out.evictions = r.counters.get("evictions");
@@ -26,13 +35,11 @@ void fill_from_em2_report(RunReport& out, const Em2RunReport& r) {
     out.traffic_bits += bits;
   }
   out.run_lengths = r.run_lengths;
-}
-
-void finish_cost_per_access(RunReport& out) {
-  out.cost_per_access = out.accesses
-                            ? static_cast<double>(out.network_cost) /
-                                  static_cast<double>(out.accesses)
-                            : 0.0;
+  if (faults != nullptr) {
+    out.resilience.emplace();
+    out.resilience->conservation_ok = r.thread_conservation_ok;
+  }
+  finish_cost_per_access(out);
 }
 
 }  // namespace
@@ -511,18 +518,13 @@ RunReport System::run_trace(const TraceSource& traces, const RunSpec& spec,
             em2::run_em2_replicated(traces, placement, mesh_, cost,
                                     config_.em2, replicable, recorder);
         out.arch_label = "em2+ro-replication";
-        fill_from_em2_report(out, r);
+        fill_from_em2_report(out, r, faults);
       } else {
         const Em2RunReport r = em2::run_em2(traces, placement, mesh_, cost,
                                             config_.em2, recorder, faults);
         out.arch_label = "em2";
-        fill_from_em2_report(out, r);
-        if (faults != nullptr) {
-          out.resilience.emplace();
-          out.resilience->conservation_ok = r.thread_conservation_ok;
-        }
+        fill_from_em2_report(out, r, faults);
       }
-      finish_cost_per_access(out);
       break;
     }
     case MemArch::kEm2Ra: {
@@ -534,13 +536,8 @@ RunReport System::run_trace(const TraceSource& traces, const RunSpec& spec,
           em2::run_em2ra(traces, placement, mesh_, cost, config_.em2,
                          policy, recorder, faults);
       out.arch_label = "em2-ra(" + r.policy_name + ")";
-      fill_from_em2_report(out, r.em2);
+      fill_from_em2_report(out, r.em2, faults);
       out.remote_accesses = r.remote_accesses;
-      if (faults != nullptr) {
-        out.resilience.emplace();
-        out.resilience->conservation_ok = r.em2.thread_conservation_ok;
-      }
-      finish_cost_per_access(out);
       break;
     }
     case MemArch::kCc: {

@@ -1,8 +1,6 @@
 #include "coherence/cc_sim.hpp"
 
-#include <algorithm>
-#include <limits>
-
+#include "trace/round_robin.hpp"
 #include "util/assert.hpp"
 
 namespace em2 {
@@ -27,45 +25,13 @@ CcRunReport run_cc(const TraceSource& traces, const Placement& placement,
   EM2_ASSERT(params.private_cache.line_bytes == traces.block_bytes(),
              "CC line size must match the trace block size so the "
              "directory and the placement agree on line identity");
-  const std::size_t nthreads = traces.num_threads();
   DirectoryCC cc(mesh, cost, params, placement);
-
-  std::vector<Cycle> clock;
-  if (recorder != nullptr) {
-    cc.set_traffic_sink(recorder);
-    clock.assign(nthreads, 0);
-  }
-
-  std::vector<std::unique_ptr<AccessCursor>> cursor;
-  cursor.reserve(nthreads);
-  std::vector<CoreId> native;
-  native.reserve(nthreads);
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    cursor.push_back(traces.make_cursor(t));
-    native.push_back(traces.native_core(t));
-  }
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    Cycle round_min = std::numeric_limits<Cycle>::max();
-    for (std::size_t t = 0; t < nthreads; ++t) {
-      const Access* ap = cursor[t]->next();
-      if (ap == nullptr) {
-        continue;
-      }
-      const Access& a = *ap;
-      progressed = true;
-      const CcAccessResult r = cc.access(native[t], a.addr, a.op);
-      if (recorder != nullptr) {
-        recorder->stamp(clock[t]);
-        clock[t] += 1 + r.latency;
-        round_min = std::min(round_min, clock[t]);
-      }
-    }
-    if (recorder != nullptr && recorder->complete(round_min)) {
-      break;  // a capture-only run: every packet it keeps is recorded
-    }
-  }
+  cc.set_traffic_sink(recorder);
+  const std::vector<CoreId> native = native_cores(traces);
+  for_each_round_robin(
+      traces, recorder, [&](std::size_t t, const Access& a) -> Cycle {
+        return 1 + cc.access(native[t], a.addr, a.op).latency;
+      });
 
   CcRunReport report;
   report.counters = cc.counters().named();

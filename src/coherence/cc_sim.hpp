@@ -1,5 +1,6 @@
-// Trace-driven directory-CC simulation, mirroring em2/trace_sim.hpp so
-// benches can compare the two architectures on identical traces.
+// Trace-driven directory-CC simulation: the same round-robin trace
+// driver (trace/round_robin.hpp) as the EM2 engines, so benches compare
+// the architectures on identical interleavings of identical traces.
 //
 // Note the core difference being measured: under CC the *thread stays
 // put* and lines replicate toward it (multi-message transactions,
@@ -28,8 +29,8 @@ struct CcRunReport {
   double messages_per_access() const noexcept;
 };
 
-/// Runs the MSI directory protocol over `traces` (round-robin thread
-/// interleave over TraceSource cursors; thread t issues from its native
+/// Runs the MSI directory protocol over `traces` in the round-robin
+/// interleave of trace/round_robin.hpp (thread t issues from its native
 /// core — threads do not move under CC).  A non-null `recorder` captures
 /// every protocol message as a packet for the contention calibration
 /// pass.

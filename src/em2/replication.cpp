@@ -1,11 +1,8 @@
 #include "em2/replication.hpp"
 
-#include <algorithm>
-#include <bit>
-#include <limits>
 #include <unordered_map>
 
-#include "util/assert.hpp"
+#include "em2/trace_loop.hpp"
 
 namespace em2 {
 
@@ -21,18 +18,19 @@ std::unordered_set<Addr> replicable_blocks(const TraceSource& traces,
       }
     }
   }
-  // A block is disqualified if any of its words exceeds the threshold.
+  // A block is disqualified if any word overlapping it exceeds the
+  // threshold.  A word lies in one block of >= 4 bytes, or spans two or
+  // four blocks of 2 or 1 bytes.
   std::unordered_set<Addr> bad;
-  const std::uint32_t word_shift =
-      traces.block_bytes() >= 4
-          ? static_cast<std::uint32_t>(
-                std::countr_zero(traces.block_bytes() / 4))
-          : 0;
   // determinism: membership-only — `bad`'s final contents are the same
   // for any iteration order over the per-word counts.
   for (const auto& [word, count] : word_writes) {
     if (count > max_writes) {
-      bad.insert(word >> word_shift);
+      const Addr first = traces.block_of(word << 2);
+      const Addr blocks = traces.block_of((word << 2) | 3) - first + 1;
+      for (Addr i = 0; i < blocks; ++i) {
+        bad.insert(first + i);
+      }
     }
   }
   std::unordered_set<Addr> result;
@@ -58,48 +56,17 @@ Em2RunReport run_em2_replicated(
     const CostModel& cost, const Em2Params& params,
     const std::unordered_set<Addr>& replicable,
     TrafficRecorder* recorder) {
-  const std::size_t nthreads = traces.num_threads();
-  std::vector<CoreId> native;
-  native.reserve(nthreads);
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    native.push_back(traces.native_core(t));
-  }
-  Em2Machine machine(mesh, cost, params, std::move(native));
-
-  std::vector<Cycle> clock;
-  if (recorder != nullptr) {
-    machine.set_traffic_sink(recorder);
-    clock.assign(nthreads, 0);
-  }
-
-  // Run-length analysis folds into the loop with replicated reads
-  // removed from the home sequence (they no longer cause migrations): a
-  // replicated read is "wherever the thread already is", modeled as
-  // continuing the previous run by simply not observing the access.
-  RunLengthAnalyzer analyzer;
-  std::vector<RunLengthAnalyzer::ThreadState> rl;
-  rl.reserve(nthreads);
-
+  Em2Machine machine(mesh, cost, params, native_cores(traces));
   CounterSet extra;
-  std::vector<std::unique_ptr<AccessCursor>> cursor;
-  cursor.reserve(nthreads);
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    cursor.push_back(traces.make_cursor(t));
-    rl.push_back(RunLengthAnalyzer::begin_thread(traces.native_core(t)));
-  }
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    Cycle round_min = std::numeric_limits<Cycle>::max();
-    for (std::size_t t = 0; t < nthreads; ++t) {
-      const Access* ap = cursor[t]->next();
-      if (ap == nullptr) {
-        continue;
-      }
-      const Access& a = *ap;
-      progressed = true;
-      const Addr block = traces.block_of(a.addr);
-      if (a.op == MemOp::kRead && replicable.count(block) != 0) {
+  // A replicated read is "wherever the thread already is": it continues
+  // the thread's current run, so it is kept out of the run-length
+  // analysis (it no longer causes a migration).
+  Em2RunReport report = detail::run_em2_family(
+      traces, placement, machine, recorder, nullptr,
+      [&](const Access& a, Addr block) {
+        if (a.op != MemOp::kRead || replicable.count(block) == 0) {
+          return false;
+        }
         // Read of a read-only block: served from a local replica, no
         // migration, no network traffic.  All replicas are identical by
         // construction (the block is never written post-initialization),
@@ -107,49 +74,18 @@ Em2RunReport run_em2_replicated(
         extra.inc("replicated_reads");
         extra.inc("accesses");
         extra.inc("reads");
-        if (recorder != nullptr) {
-          clock[t] += 1;  // local read: compute only, no packets
-          round_min = std::min(round_min, clock[t]);
-        }
-        continue;
-      }
+        return true;
+      },
       // Writes to replicable blocks are the initialization writes the
       // classifier allowed; they still execute at the home (single copy
       // is updated before any replica is read in the steady state under
       // the profile's definition).
-      const CoreId home = placement.home_of_block(block);
-      analyzer.observe(rl[t], home);
-      const AccessOutcome out =
-          machine.access(static_cast<ThreadId>(t), home, a.op, a.addr);
-      if (recorder != nullptr) {
-        recorder->stamp(clock[t]);
-        clock[t] += 1 + out.thread_cost + out.memory_latency;
-        round_min = std::min(round_min, clock[t]);
-      }
-    }
-    if (recorder != nullptr && recorder->complete(round_min)) {
-      break;  // a capture-only run: every packet it keeps is recorded
-    }
-  }
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    analyzer.finish_thread(rl[t]);
-  }
-
-  Em2RunReport report;
-  report.counters = machine.counters().named();
+      [&](ThreadId t, CoreId home, const Access& a,
+          Addr) EM2_ALWAYS_INLINE_LAMBDA -> Cycle {
+        const AccessOutcome out = machine.access(t, home, a.op, a.addr);
+        return 1 + out.thread_cost + out.memory_latency;
+      });
   report.counters.merge(extra);
-  report.total_thread_cost = machine.total_thread_cost();
-  report.total_eviction_cost = machine.total_eviction_cost();
-  report.per_thread_cost.reserve(nthreads);
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    report.per_thread_cost.push_back(
-        machine.thread_cost(static_cast<ThreadId>(t)));
-  }
-  for (int vn = 0; vn < vnet::kNumVnets; ++vn) {
-    report.vnet_bits[static_cast<std::size_t>(vn)] = machine.vnet_bits(vn);
-  }
-  report.cache_totals = machine.cache_totals();
-  report.run_lengths = analyzer.report();
   return report;
 }
 

@@ -23,9 +23,10 @@
 
 namespace em2 {
 
-/// Profiles a trace and returns the blocks in which no individual WORD is
-/// written more than `max_writes` times across all threads (default 1:
-/// each word written only by its initialization).  Write-once-then-read
+/// Profiles a trace and returns the blocks that no WORD written more than
+/// `max_writes` times across all threads overlaps (default 1: each word
+/// written only by its initialization; a block smaller than a word is
+/// disqualified with the word).  Write-once-then-read
 /// data — lookup tables, program constants — classifies as replicable;
 /// anything iteratively updated does not.  The TraceSource form streams
 /// the trace twice through fresh cursors (profile, then collect), so the

@@ -41,15 +41,15 @@ struct Em2RunReport {
   double mean_cost_per_access() const noexcept;
 };
 
-/// Runs pure EM2 over `traces` with `placement`, interleaving threads
-/// round-robin (one access per live thread per round — the deterministic
-/// stand-in for concurrent execution).  The trace arrives through the
-/// TraceSource cursor interface, so in-memory sets and bounded-memory
-/// EM2S streams run the identical loop (and the Figure 2 analysis folds
-/// into it incrementally — no buffered home sequences).  A non-null
-/// `recorder` captures every protocol packet stamped with the issuing
-/// thread's virtual clock (the contention calibration pass); recording
-/// never changes the report.  A non-null `faults` injects that run's
+/// Runs pure EM2 over `traces` with `placement` in the round-robin
+/// interleave of trace/round_robin.hpp (one access per live thread per
+/// round — the deterministic stand-in for concurrent execution).  The
+/// trace arrives through the TraceSource cursor interface, so in-memory
+/// sets and bounded-memory EM2S streams run the identical loop, and the
+/// Figure 2 analysis folds into it incrementally (no buffered home
+/// sequences).  A non-null `recorder` captures every protocol packet
+/// stamped with the issuing thread's virtual clock (the contention
+/// calibration pass); recording never changes the report.  A non-null `faults` injects that run's
 /// fault schedule (trace-mode fault time is the global processed-access
 /// index) and homes are remapped around failed cores; null stays
 /// bit-identical to before fault injection existed.

@@ -1,5 +1,6 @@
-// Trace-driven EM2-RA simulation with a pluggable decision policy,
-// mirroring em2/trace_sim.hpp for the hybrid architecture.
+// Trace-driven EM2-RA simulation with a pluggable decision policy: the
+// same EM²-family trace loop as run_em2 (em2/trace_sim.hpp), with each
+// access served by HybridMachine::access_hybrid.
 #pragma once
 
 #include <string>
@@ -22,9 +23,9 @@ struct HybridRunReport {
   double remote_fraction() const noexcept;
 };
 
-/// Runs EM2-RA over `traces` with `placement` and `policy` (round-robin
-/// thread interleaving over TraceSource cursors, as in run_em2; streamed
-/// and in-memory sources share the loop).  A non-null `recorder`
+/// Runs EM2-RA over `traces` with `placement` and `policy` in the
+/// round-robin interleave of trace/round_robin.hpp, through the loop
+/// run_em2 uses (streamed and in-memory sources share it).  A non-null `recorder`
 /// captures every protocol packet — migrations, evictions, and remote
 /// request/reply pairs — for the contention calibration pass.
 ///

@@ -6,8 +6,8 @@
 // the cycle-level router.  For contention calibration we need the packets
 // themselves: every machine accepts an optional TrafficSink and reports
 // each packet it would inject (source, destination, virtual network,
-// payload bits).  The run loops stamp each recorded packet with the
-// issuing thread's virtual clock — accumulated compute + uncontended
+// payload bits).  The round-robin trace driver (trace/round_robin.hpp)
+// stamps each recorded packet with the issuing thread's virtual clock — accumulated compute + uncontended
 // network cycles — which approximates the open-loop offered load the
 // M/D/1 correction (noc/contention.hpp) assumes.
 #pragma once
@@ -29,7 +29,7 @@ struct TrafficEvent {
   std::uint64_t payload_bits = 0;
   /// Virtual injection time: the issuing thread's accumulated cycles
   /// (one per access plus its uncontended network/memory latency) at the
-  /// moment the packet leaves.  Stamped by the run loop, not the machine.
+  /// moment the packet leaves.  Stamped by the trace driver, not the machine.
   Cycle when = 0;
 };
 
@@ -45,7 +45,7 @@ class TrafficSink {
                          std::uint64_t payload_bits) = 0;
 };
 
-/// Whether a run loop may end a recorded run early (see
+/// Whether the trace driver may end a recorded run early (see
 /// TrafficRecorder::complete).
 enum class CaptureStop : bool {
   kRunToEnd,   ///< recording never changes the run: it always completes
@@ -53,8 +53,8 @@ enum class CaptureStop : bool {
 };
 
 /// Accumulating sink used by the calibration pass.  The machine appends
-/// packets without timestamps; after each access the run loop calls
-/// stamp() to assign the issuing thread's virtual clock to everything
+/// packets without timestamps; after each access the trace driver
+/// calls stamp() to assign the issuing thread's virtual clock to everything
 /// recorded since the previous stamp (an access's migration, its
 /// eviction, or its remote request/reply pair all depart together).
 ///
@@ -90,9 +90,9 @@ class TrafficRecorder final : public TrafficSink {
     }
   }
 
-  /// Asked by the run loops after each round-robin round, with
+  /// Asked by the round-robin trace driver after each round, with
   /// `min_clock` the smallest virtual clock, after the round, among the
-  /// threads that had an access in it: true iff the loop may stop because
+  /// threads that had an access in it: true iff the walk may stop because
   /// no packet it could still record can enter the kept set.  That holds
   /// once min_clock reaches the stamp T of the cap-th earliest packet at
   /// the last compaction: per-thread clocks never decrease, so every

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "trace/round_robin.hpp"
 #include "util/assert.hpp"
 
 namespace em2 {
@@ -70,31 +71,17 @@ std::vector<std::uint64_t> TablePlacement::blocks_per_core() const {
 FirstTouchPlacement::FirstTouchPlacement(const TraceSource& traces,
                                          std::int32_t num_cores)
     : TablePlacement(num_cores) {
-  // Deterministic round-robin interleaving: one access per live thread per
-  // round, threads in id order.
-  std::vector<std::unique_ptr<AccessCursor>> cursor;
-  cursor.reserve(traces.num_threads());
-  for (std::size_t t = 0; t < traces.num_threads(); ++t) {
-    cursor.push_back(traces.make_cursor(t));
-  }
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    for (std::size_t t = 0; t < traces.num_threads(); ++t) {
-      const Access* a = cursor[t]->next();
-      if (a == nullptr) {
-        continue;
-      }
-      const Addr block = traces.block_of(a->addr);
-      progressed = true;
-      if (table_.find(block) == table_.end()) {
-        CoreId native = traces.native_core(t);
-        EM2_ASSERT(native >= 0 && native < num_cores_,
-                   "thread native core outside the mesh");
-        table_.emplace(block, native);
-      }
-    }
-  }
+  for_each_round_robin(
+      traces, nullptr, [&](std::size_t t, const Access& a) -> Cycle {
+        const Addr block = traces.block_of(a.addr);
+        if (table_.find(block) == table_.end()) {
+          CoreId native = traces.native_core(t);
+          EM2_ASSERT(native >= 0 && native < num_cores_,
+                     "thread native core outside the mesh");
+          table_.emplace(block, native);
+        }
+        return 0;
+      });
 }
 
 ProfileGreedyPlacement::ProfileGreedyPlacement(const TraceSource& traces,

@@ -91,10 +91,11 @@ class TablePlacement : public Placement {
 
 /// First-touch placement — what the paper's evaluation uses.  The first
 /// thread to touch a block becomes its home (at that thread's native
-/// core).  "First" is defined by a deterministic round-robin interleaving
-/// of the per-thread traces: one access per thread per round.  This mirrors
-/// how first-touch behaves when all threads start together, and makes runs
-/// reproducible.
+/// core).  "First" is defined by the round-robin interleave the trace-mode
+/// engines replay (trace/round_robin.hpp): one access per thread per
+/// round, so within a round the lower thread id touches first.  This
+/// mirrors how first-touch behaves when all threads start together, and
+/// makes runs reproducible.
 class FirstTouchPlacement final : public TablePlacement {
  public:
   FirstTouchPlacement(const TraceSource& traces, std::int32_t num_cores);

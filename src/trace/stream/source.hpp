@@ -3,12 +3,13 @@
 //
 // The paper's model "assumes knowledge of the full memory trace"; the
 // engines do not — they only ever consume each thread's accesses in
-// program order, one per round-robin turn.  TraceSource captures exactly
-// that contract: per-thread metadata plus a forward cursor, implemented
-// by an in-memory TraceSet (MemoryTraceSource, zero-copy) or by an
-// on-disk EM2S file (TraceStream in reader.hpp, bounded-memory batches).
-// One engine loop serves both, so streamed and in-memory runs are the
-// same code path and their reports are byte-identical by construction.
+// program order, one per round-robin turn of the trace driver
+// (trace/round_robin.hpp).  TraceSource captures exactly that contract:
+// per-thread metadata plus a forward cursor, implemented by an in-memory
+// TraceSet (MemoryTraceSource, zero-copy) or by an on-disk EM2S file
+// (TraceStream in reader.hpp, bounded-memory batches).  The one driver
+// serves both, so streamed and in-memory runs are the same code path and
+// their reports are byte-identical by construction.
 #pragma once
 
 #include <bit>

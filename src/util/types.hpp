@@ -52,9 +52,17 @@ inline constexpr Cost kInfiniteCost = std::numeric_limits<Cost>::max() / 4;
 /// re-inlined by LTO into the per-access loops it was deliberately
 /// extracted from.
 #define EM2_NOINLINE __attribute__((noinline))
+/// EM2_ALWAYS_INLINE for a lambda's call operator, which takes no
+/// `inline`: the per-access lambdas the trace engines hand the
+/// round-robin driver.  Left to GCC, a step stayed out of line (a call
+/// per access), or was inlined so late that small helpers on the
+/// migrate path (Mesh::hops, CostModel::migration_native) no longer fit
+/// the loop's inlining budget.
+#define EM2_ALWAYS_INLINE_LAMBDA __attribute__((always_inline))
 #else
 #define EM2_ALWAYS_INLINE inline
 #define EM2_NOINLINE
+#define EM2_ALWAYS_INLINE_LAMBDA
 #endif
 
 /// Kind of memory operation carried by a trace record.

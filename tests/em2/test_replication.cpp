@@ -43,6 +43,39 @@ TEST(ReplicableBlocks, CountsWritesAcrossThreads) {
   EXPECT_FALSE(replicable_blocks(ts, 1).count(0));
 }
 
+TEST(ReplicableBlocks, TwoByteBlocksSplitAWord) {
+  // A 4-byte word spans two 2-byte blocks: a word written twice
+  // disqualifies both, and a read-only word's blocks stay replicable.
+  TraceSet ts(2);
+  ThreadTrace t0(0, 0);
+  t0.append(8, MemOp::kWrite);  // word 2 = blocks 4 and 5
+  t0.append(8, MemOp::kWrite);
+  t0.append(10, MemOp::kRead);  // block 5
+  t0.append(4, MemOp::kRead);   // word 1 = blocks 2 and 3, never written
+  ts.add_thread(std::move(t0));
+  const auto repl = replicable_blocks(ts, 1);
+  EXPECT_FALSE(repl.count(4));
+  EXPECT_FALSE(repl.count(5));
+  EXPECT_TRUE(repl.count(2));
+}
+
+TEST(ReplicableBlocks, OneByteBlocksSplitAWord) {
+  TraceSet ts(1);
+  ThreadTrace t0(0, 0);
+  t0.append(8, MemOp::kWrite);  // word 2 = blocks 8..11
+  t0.append(9, MemOp::kWrite);
+  t0.append(11, MemOp::kRead);
+  t0.append(4, MemOp::kRead);   // word 1, never written
+  t0.append(12, MemOp::kWrite);  // word 3, written once
+  ts.add_thread(std::move(t0));
+  const auto repl = replicable_blocks(ts, 1);
+  EXPECT_FALSE(repl.count(8));
+  EXPECT_FALSE(repl.count(9));
+  EXPECT_FALSE(repl.count(11));
+  EXPECT_TRUE(repl.count(4));
+  EXPECT_TRUE(repl.count(12));
+}
+
 TEST(Replication, TableLookupMigrationsCollapse) {
   // The showcase: the lookup table is written only during init, so every
   // table read becomes local and migrations all but disappear.
