@@ -42,7 +42,7 @@ DirectoryCC::DirectoryCC(const Mesh& mesh, const CostModel& cost,
       std::countr_zero(params.private_cache.line_bytes));
   caches_.reserve(static_cast<std::size_t>(mesh_.num_cores()));
   for (CoreId c = 0; c < mesh_.num_cores(); ++c) {
-    caches_.push_back(std::make_unique<Cache>(params.private_cache));
+    caches_.emplace_back(params.private_cache);
   }
 }
 
@@ -103,10 +103,11 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
   counters_.inc(Counter::kAccesses);
   CcAccessResult result;
   const Addr line = line_of(addr);
-  Cache& cache = *caches_[static_cast<std::size_t>(core)];
-  const auto state_byte = cache.state_of(line);
-  const MsiState cstate =
-      state_byte ? from_byte(*state_byte) : MsiState::kInvalid;
+  Cache& cache = caches_[static_cast<std::size_t>(core)];
+  const std::size_t slot = cache.find(line);
+  const MsiState cstate = slot == Cache::kAbsent
+                              ? MsiState::kInvalid
+                              : from_byte(cache.state_at(slot));
   const std::uint64_t line_bits =
       static_cast<std::uint64_t>(params_.private_cache.line_bytes) * 8;
   const std::uint64_t addr_bits = cost_.params().addr_bits;
@@ -115,12 +116,12 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
 
   if (op == MemOp::kRead && cstate != MsiState::kInvalid) {
     // Read hit in S or M.
-    cache.touch(line);
+    cache.touch_at(slot);
     counters_.inc(Counter::kHits);
     result.hit = true;
   } else if (op == MemOp::kWrite && cstate == MsiState::kModified) {
     // Write hit in M.
-    cache.touch(line);
+    cache.touch_at(slot);
     counters_.inc(Counter::kHits);
     result.hit = true;
   } else if (op == MemOp::kRead) {
@@ -138,7 +139,7 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
       const Cost to_req = send(owner, core, line_bits, Counter::kDataOwner);
       send(owner, home, line_bits, Counter::kWbDowngrade);
       latency += to_req;
-      caches_[static_cast<std::size_t>(owner)]->set_state(
+      caches_[static_cast<std::size_t>(owner)].set_state(
           line, to_byte(MsiState::kShared));
       entry.state = MsiState::kShared;
       if (std::find(entry.sharers.begin(), entry.sharers.end(), core) ==
@@ -174,7 +175,7 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
       const CoreId owner = entry.sharers[0];
       latency += send(home, owner, addr_bits, Counter::kFwdGetM);
       latency += send(owner, core, line_bits, Counter::kDataOwner);
-      caches_[static_cast<std::size_t>(owner)]->invalidate(line);
+      caches_[static_cast<std::size_t>(owner)].invalidate(line);
       entry.sharers.clear();
     } else {
       // Invalidate all sharers (other than the requester); acks return to
@@ -186,7 +187,7 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
         }
         const Cost inv = send(home, sharer, addr_bits, Counter::kInv);
         const Cost ack = send(sharer, core, 0, Counter::kInvAck);
-        caches_[static_cast<std::size_t>(sharer)]->invalidate(line);
+        caches_[static_cast<std::size_t>(sharer)].invalidate(line);
         worst_inv = std::max(worst_inv, inv + ack);
       }
       latency += worst_inv;
@@ -223,8 +224,8 @@ double DirectoryCC::replication_factor() const {
 
 std::uint64_t DirectoryCC::total_valid_lines() const {
   std::uint64_t total = 0;
-  for (const auto& c : caches_) {
-    total += c->valid_lines();
+  for (const Cache& c : caches_) {
+    total += c.valid_lines();
   }
   return total;
 }

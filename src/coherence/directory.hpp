@@ -24,7 +24,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -127,7 +126,7 @@ class DirectoryCC {
   DirCcParams params_;
   const Placement& placement_;
   std::uint32_t line_shift_;
-  std::vector<std::unique_ptr<Cache>> caches_;
+  std::vector<Cache> caches_;
   std::unordered_map<Addr, DirEntry> directory_;
   FastCounters counters_;
   std::uint64_t traffic_bits_ = 0;

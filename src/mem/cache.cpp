@@ -16,44 +16,35 @@ Cache::Cache(const CacheParams& params) : params_(params) {
   EM2_ASSERT(num_sets_ >= 1, "cache must have at least one set");
   line_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(params.line_bytes));
-  lines_.resize(static_cast<std::size_t>(num_sets_) * params.ways);
-}
-
-Cache::Line* Cache::lookup(Addr line_addr) noexcept {
-  const std::size_t base = set_index(line_addr) * params_.ways;
-  for (std::uint32_t w = 0; w < params_.ways; ++w) {
-    Line& line = lines_[base + w];
-    if (line.valid && line.line_addr == line_addr) {
-      return &line;
-    }
+  const std::size_t slots =
+      static_cast<std::size_t>(num_sets_) * params.ways;
+  TagLine empty;
+  for (Addr& t : empty.tag) {
+    t = kInvalidTag;
   }
-  return nullptr;
-}
-
-const Cache::Line* Cache::lookup(Addr line_addr) const noexcept {
-  return const_cast<Cache*>(this)->lookup(line_addr);
-}
-
-bool Cache::contains(Addr line_addr) const noexcept {
-  return lookup(line_addr) != nullptr;
+  tags_.assign((slots + 7) / 8, empty);
+  stamps_.assign(slots, 0);
+  state_.assign(slots, 0);
+  dirty_.assign(slots, 0);
 }
 
 std::optional<std::uint8_t> Cache::state_of(Addr line_addr) const noexcept {
-  const Line* line = lookup(line_addr);
-  if (line == nullptr) {
+  const std::size_t slot = find(line_addr);
+  if (slot == kAbsent) {
     return std::nullopt;
   }
-  return line->state;
+  return state_[slot];
 }
 
 CacheAccessResult Cache::access(Addr byte_addr, MemOp op,
                                 std::uint8_t fill_state) {
   const Addr line_addr = line_of(byte_addr);
-  if (Line* line = lookup(line_addr)) {
+  const std::size_t slot = find(line_addr);
+  if (slot != kAbsent) {
     ++hits_;
-    line->lru_stamp = ++tick_;
+    touch_at(slot);
     if (op == MemOp::kWrite) {
-      line->dirty = true;
+      dirty_[slot] = 1;
     }
     CacheAccessResult r;
     r.hit = true;
@@ -66,74 +57,74 @@ CacheAccessResult Cache::access(Addr byte_addr, MemOp op,
 }
 
 bool Cache::touch(Addr line_addr) {
-  if (Line* line = lookup(line_addr)) {
-    line->lru_stamp = ++tick_;
-    return true;
+  const std::size_t slot = find(line_addr);
+  if (slot == kAbsent) {
+    return false;
   }
-  return false;
+  touch_at(slot);
+  return true;
 }
 
 CacheAccessResult Cache::fill(Addr line_addr, std::uint8_t state,
                               bool dirty) {
   CacheAccessResult r;
-  if (Line* line = lookup(line_addr)) {
+  if (const std::size_t slot = find(line_addr); slot != kAbsent) {
     // Re-fill of a resident line: refresh state/dirtiness only.
-    line->state = state;
-    line->dirty = line->dirty || dirty;
-    line->lru_stamp = ++tick_;
+    state_[slot] = state;
+    dirty_[slot] = dirty_[slot] | static_cast<std::uint8_t>(dirty);
+    touch_at(slot);
     return r;
   }
+  // True LRU: the lowest stamp, ties to the lower way.  Invalid ways
+  // stamp 0 and valid stamps are distinct and nonzero, so this is the
+  // first invalid way if there is one, else the least recently used.
   const std::size_t base = set_index(line_addr) * params_.ways;
-  Line* victim = nullptr;
-  for (std::uint32_t w = 0; w < params_.ways; ++w) {
-    Line& line = lines_[base + w];
-    if (!line.valid) {
-      victim = &line;
-      break;
-    }
-    if (victim == nullptr || line.lru_stamp < victim->lru_stamp) {
-      victim = &line;
+  std::size_t victim = base;
+  for (std::size_t s = base + 1; s < base + params_.ways; ++s) {
+    if (stamps_[s] < stamps_[victim]) {
+      victim = s;
     }
   }
-  EM2_ASSERT(victim != nullptr, "a set must always yield a victim");
-  if (victim->valid) {
+  if (stamps_[victim] != 0) {
     r.evicted = true;
-    r.victim_line = victim->line_addr;
-    r.victim_state = victim->state;
-    r.writeback = victim->dirty;
+    r.victim_line = tag(victim);
+    r.victim_state = state_[victim];
+    r.writeback = dirty_[victim] != 0;
     ++evictions_;
-    if (victim->dirty) {
+    if (r.writeback) {
       ++writebacks_;
     }
   } else {
     ++valid_lines_;
   }
-  victim->valid = true;
-  victim->line_addr = line_addr;
-  victim->dirty = dirty;
-  victim->state = state;
-  victim->lru_stamp = ++tick_;
+  tag(victim) = line_addr;
+  dirty_[victim] = static_cast<std::uint8_t>(dirty);
+  state_[victim] = state;
+  touch_at(victim);
   return r;
 }
 
 bool Cache::set_state(Addr line_addr, std::uint8_t state) {
-  if (Line* line = lookup(line_addr)) {
-    line->state = state;
-    return true;
+  const std::size_t slot = find(line_addr);
+  if (slot == kAbsent) {
+    return false;
   }
-  return false;
+  state_[slot] = state;
+  return true;
 }
 
 std::optional<bool> Cache::invalidate(Addr line_addr) {
-  if (Line* line = lookup(line_addr)) {
-    const bool dirty = line->dirty;
-    line->valid = false;
-    line->dirty = false;
-    line->state = 0;
-    --valid_lines_;
-    return dirty;
+  const std::size_t slot = find(line_addr);
+  if (slot == kAbsent) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  const bool dirty = dirty_[slot] != 0;
+  tag(slot) = kInvalidTag;
+  stamps_[slot] = 0;
+  dirty_[slot] = 0;
+  state_[slot] = 0;
+  --valid_lines_;
+  return dirty;
 }
 
 }  // namespace em2

@@ -6,6 +6,7 @@
 // simulated data lives in the functional memory of the execution engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -36,8 +37,20 @@ struct CacheAccessResult {
 };
 
 /// One level of set-associative cache.
+///
+/// Storage is a structure of arrays, indexed by slot = set * ways + way:
+/// a tag array padded so that an 8-way set fills exactly one 64-byte
+/// line, then LRU stamps, protocol-state bytes and dirty bytes.  A lookup
+/// compares tags only; the other arrays are read once the slot is known.
+/// A way is valid iff its stamp is nonzero: the LRU clock starts at 1, so
+/// the encoding cannot alias any 64-bit line address (line ~0 with
+/// 1-byte lines included).  Invalid ways keep the tag ~0 so a lookup of
+/// an ordinary line never has to read their stamps.
 class Cache {
  public:
+  /// The slot `find` returns for a line that is not resident.
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
+
   explicit Cache(const CacheParams& params);
 
   std::uint32_t num_sets() const noexcept { return num_sets_; }
@@ -49,8 +62,28 @@ class Cache {
     return byte_addr >> line_shift_;
   }
 
+  /// Slot of a resident line, or kAbsent.  Does not update LRU.  A slot
+  /// stays valid until the next fill or invalidate of this cache.
+  std::size_t find(Addr line_addr) const noexcept {
+    const std::size_t base = set_index(line_addr) * params_.ways;
+    for (std::size_t s = base; s < base + params_.ways; ++s) {
+      if (tag(s) == line_addr && stamps_[s] != 0) {
+        return s;
+      }
+    }
+    return kAbsent;
+  }
+  /// Protocol state of the resident line in `slot`.
+  std::uint8_t state_at(std::size_t slot) const noexcept {
+    return state_[slot];
+  }
+  /// Marks the resident line in `slot` most recently used.
+  void touch_at(std::size_t slot) noexcept { stamps_[slot] = ++tick_; }
+
   /// Presence test without touching replacement state.
-  bool contains(Addr line_addr) const noexcept;
+  bool contains(Addr line_addr) const noexcept {
+    return find(line_addr) != kAbsent;
+  }
 
   /// Protocol state of a resident line (nullopt if absent).  Does not
   /// update LRU.
@@ -91,28 +124,33 @@ class Cache {
   std::uint64_t writebacks() const noexcept { return writebacks_; }
 
  private:
-  struct Line {
-    Addr line_addr = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint8_t state = 0;
-    std::uint64_t lru_stamp = 0;
+  static constexpr Addr kInvalidTag = ~Addr{0};
+  /// Eight tags on one 64-byte line: slot s lives at [s / 8].tag[s % 8].
+  struct alignas(64) TagLine {
+    Addr tag[8];
   };
 
+  Addr tag(std::size_t slot) const noexcept {
+    return tags_[slot >> 3].tag[slot & 7];
+  }
+  Addr& tag(std::size_t slot) noexcept {
+    return tags_[slot >> 3].tag[slot & 7];
+  }
   // Modulo (not mask) so non-power-of-two set counts are legal: the 80KB
   // combined-capacity cache of the CC baseline has 160 sets.
   std::size_t set_index(Addr line_addr) const noexcept {
     return static_cast<std::size_t>(line_addr %
                                     static_cast<Addr>(num_sets_));
   }
-  Line* lookup(Addr line_addr) noexcept;
-  const Line* lookup(Addr line_addr) const noexcept;
 
   CacheParams params_;
   std::uint32_t num_sets_;
   std::uint32_t line_shift_;
-  std::vector<Line> lines_;  // num_sets x ways, set-major
-  std::uint64_t tick_ = 0;   // LRU clock
+  std::vector<TagLine> tags_;          // kInvalidTag in invalid ways
+  std::vector<std::uint64_t> stamps_;  // LRU stamp; 0 = invalid way
+  std::vector<std::uint8_t> state_;
+  std::vector<std::uint8_t> dirty_;
+  std::uint64_t tick_ = 0;  // LRU clock; the last stamp handed out
   std::uint64_t valid_lines_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -1,6 +1,7 @@
 #include "placement/placement.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "trace/round_robin.hpp"
 #include "util/assert.hpp"
@@ -43,9 +44,10 @@ TablePlacement::TablePlacement(std::int32_t num_cores)
 }
 
 CoreId TablePlacement::home_of_block(Addr block) const {
-  const auto it = table_.find(block);
-  if (it != table_.end()) {
-    return it->second;
+  if (const HomePage* page = table_.find(block >> 4)) {
+    if (const CoreId home = page->core[block & 15]; home != kNoCore) {
+      return home;
+    }
   }
   return static_cast<CoreId>(block %
                              static_cast<std::uint64_t>(num_cores_));
@@ -54,17 +56,23 @@ CoreId TablePlacement::home_of_block(Addr block) const {
 void TablePlacement::assign(Addr block, CoreId home) {
   EM2_ASSERT(home >= 0 && home < num_cores_,
              "block assigned to a nonexistent core");
-  table_[block] = home;
+  CoreId& cell = home_cell(block);
+  if (cell == kNoCore) {
+    ++assigned_;
+  }
+  cell = home;
 }
 
 std::vector<std::uint64_t> TablePlacement::blocks_per_core() const {
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(num_cores_), 0);
-  // determinism: order-insensitive integer accumulation — each entry
-  // bumps its own core's counter exactly once, in any iteration order.
-  for (const auto& [block, core] : table_) {
-    ++counts[static_cast<std::size_t>(core)];
-  }
+  table_.for_each([&](std::uint64_t, const HomePage& page) {
+    for (const CoreId core : page.core) {
+      if (core != kNoCore) {
+        ++counts[static_cast<std::size_t>(core)];
+      }
+    }
+  });
   return counts;
 }
 
@@ -73,12 +81,13 @@ FirstTouchPlacement::FirstTouchPlacement(const TraceSource& traces,
     : TablePlacement(num_cores) {
   for_each_round_robin(
       traces, nullptr, [&](std::size_t t, const Access& a) -> Cycle {
-        const Addr block = traces.block_of(a.addr);
-        if (table_.find(block) == table_.end()) {
-          CoreId native = traces.native_core(t);
+        CoreId& home = home_cell(traces.block_of(a.addr));
+        if (home == kNoCore) {
+          const CoreId native = traces.native_core(t);
           EM2_ASSERT(native >= 0 && native < num_cores_,
                      "thread native core outside the mesh");
-          table_.emplace(block, native);
+          home = native;
+          ++assigned_;
         }
         return 0;
       });
@@ -98,7 +107,7 @@ ProfileGreedyPlacement::ProfileGreedyPlacement(const TraceSource& traces,
   }
   // determinism: each block's argmax is computed independently (the inner
   // scan walks cores in ascending order, which fixes the tie-break), and
-  // table_ emplacement is keyed — the final table is the same map for any
+  // assignment is keyed — every block gets the same home for any
   // iteration order over `counts`.
   for (const auto& [block, per_core] : counts) {
     CoreId best = kNoCore;
@@ -112,7 +121,7 @@ ProfileGreedyPlacement::ProfileGreedyPlacement(const TraceSource& traces,
       }
     }
     if (best != kNoCore) {
-      table_.emplace(block, best);
+      assign(block, best);
     }
   }
 }

@@ -10,14 +10,15 @@
 // size), matching TraceSet::block_of.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/stream/source.hpp"
 #include "trace/trace.hpp"
+#include "util/page_table.hpp"
 #include "util/types.hpp"
 
 namespace em2 {
@@ -68,6 +69,10 @@ class HashedPlacement final : public Placement {
 
 /// An explicit block -> core table with a fallback for unmapped blocks.
 /// Base class for trace-derived placements; also usable directly.
+///
+/// The table is a flat PageTable of 16 homes per page (kNoCore =
+/// unassigned), so a lookup of an assigned block is one multiply, one
+/// slot read and one page read.
 class TablePlacement : public Placement {
  public:
   explicit TablePlacement(std::int32_t num_cores);
@@ -79,14 +84,28 @@ class TablePlacement : public Placement {
   void assign(Addr block, CoreId home);
 
   /// Blocks with no explicit assignment fall back to striping.
-  std::size_t assigned_blocks() const noexcept { return table_.size(); }
+  std::size_t assigned_blocks() const noexcept { return assigned_; }
 
   /// Per-core count of assigned blocks (placement balance metric).
   std::vector<std::uint64_t> blocks_per_core() const;
 
  protected:
+  /// The home of `block`, kNoCore while unassigned.  Whoever stores a
+  /// home into a kNoCore cell bumps assigned_.  The reference is valid
+  /// until the next home_cell call.
+  CoreId& home_cell(Addr block) {
+    return table_.get(block >> 4).core[block & 15];
+  }
+
   std::int32_t num_cores_;
-  std::unordered_map<Addr, CoreId> table_;
+  std::size_t assigned_ = 0;
+
+ private:
+  struct HomePage {
+    HomePage() { core.fill(kNoCore); }
+    std::array<CoreId, 16> core;
+  };
+  PageTable<HomePage> table_;
 };
 
 /// First-touch placement — what the paper's evaluation uses.  The first

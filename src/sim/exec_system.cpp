@@ -39,11 +39,7 @@ void ExecSystem::poke(Addr addr, std::uint32_t value) {
 }
 
 CoreId ExecSystem::home_of(Addr addr) {
-  const Addr block = addr >> block_shift_;
-  CoreId& home = homes_.get(block >> 4).core[block & 15];
-  if (home == kNoCore) {
-    home = placement_.home_of_block(block);
-  }
+  const CoreId home = placement_.home_of_block(addr >> block_shift_);
   // A failed home's address slice is served by its deterministic
   // replacement (identity until the first failure).
   return faults_ != nullptr ? faults_->remap(home) : home;

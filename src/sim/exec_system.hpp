@@ -33,7 +33,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -53,7 +52,6 @@
 #include "placement/placement.hpp"
 #include "sim/faults.hpp"
 #include "sim/modes.hpp"
-#include "util/page_table.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
@@ -256,8 +254,8 @@ class ExecSystem final : private ThreadMoveObserver {
     }
   };
 
-  /// Home core of `addr` (per-block placement lookups are cached in
-  /// homes_), remapped around failed cores under fault injection.
+  /// Home core of `addr`, remapped around failed cores under fault
+  /// injection.
   CoreId home_of(Addr addr);
   CoreId thread_location(ThreadId t) const;
   /// Serves one memory access for thread `t`; returns the stall latency.
@@ -324,12 +322,6 @@ class ExecSystem final : private ThreadMoveObserver {
   ExecParams params_;
   const Placement& placement_;
   std::uint32_t block_shift_;
-  /// Placement home per block, 16 blocks per page (kNoCore = not cached).
-  struct HomePage {
-    HomePage() { core.fill(kNoCore); }
-    std::array<CoreId, 16> core;
-  };
-  PageTable<HomePage> homes_;
 
   // Exactly one of these backs the memory system, per params_.arch.
   // The sealed policy is visited per access (a switch over the concrete

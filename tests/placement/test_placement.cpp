@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "trace/round_robin.hpp"
+#include "util/rng.hpp"
+#include "workload/registry.hpp"
+
 namespace em2 {
 namespace {
 
@@ -140,6 +147,75 @@ TEST(TablePlacement, BlocksPerCore) {
   EXPECT_EQ(counts[0], 2u);
   EXPECT_EQ(counts[1], 0u);
   EXPECT_EQ(counts[2], 1u);
+}
+
+
+// Random assign and reassign over sparse 64-bit blocks against a std::map:
+// page-boundary neighbours, the last block of the address space, the
+// striped fallback, assigned_blocks() (a reassign counts once) and
+// blocks_per_core().
+TEST(TablePlacement, MatchesMapReference) {
+  constexpr std::int32_t kCores = 7;
+  std::vector<Addr> blocks;
+  for (const Addr page : {Addr{0}, Addr{1}, Addr{0x1234}, Addr{1} << 40,
+                          ~Addr{0} >> 4}) {
+    for (const Addr cell : {0, 1, 14, 15}) {
+      blocks.push_back(page * 16 + cell);  // both ends of every page
+    }
+    blocks.push_back(page * 16 + 16);  // next page's first (last page: 0)
+  }
+  Rng rng(7);
+  for (int i = 0; i < 64; ++i) {
+    blocks.push_back(rng.next_u64());
+  }
+  TablePlacement p(kCores);
+  std::map<Addr, CoreId> ref;
+  for (int step = 0; step < 4000; ++step) {
+    const Addr block = blocks[rng.next_below(blocks.size())];
+    const auto home = static_cast<CoreId>(rng.next_below(kCores));
+    p.assign(block, home);
+    ref[block] = home;
+    if (step % 100 != 99) {
+      continue;
+    }
+    for (const Addr b : blocks) {
+      const auto it = ref.find(b);
+      const CoreId want = it != ref.end()
+                              ? it->second
+                              : static_cast<CoreId>(b % kCores);
+      ASSERT_EQ(p.home_of_block(b), want) << "block " << b;
+    }
+    ASSERT_EQ(p.assigned_blocks(), ref.size());
+    std::vector<std::uint64_t> counts(kCores, 0);
+    for (const auto& [b, core] : ref) {
+      ++counts[static_cast<std::size_t>(core)];
+    }
+    ASSERT_EQ(p.blocks_per_core(), counts);
+  }
+  EXPECT_EQ(p.home_of_block(~Addr{0}), ref.at(~Addr{0}));
+}
+
+// FirstTouchPlacement over a generated 256-thread workload equals a
+// first-touch map built here from the same round-robin interleave.
+TEST(FirstTouch, MatchesMapReferenceOn256Threads) {
+  const auto ts = workload::make_by_name("sharing-mix", 256, 1, 3);
+  ASSERT_TRUE(ts.has_value());
+  const MemoryTraceSource source(*ts);
+  std::map<Addr, CoreId> ref;
+  for_each_round_robin(source, nullptr,
+                       [&](std::size_t t, const Access& a) -> Cycle {
+                         ref.emplace(ts->block_of(a.addr),
+                                     source.native_core(t));
+                         return 0;
+                       });
+  const FirstTouchPlacement p(*ts, 256);
+  ASSERT_EQ(p.assigned_blocks(), ref.size());
+  std::vector<std::uint64_t> counts(256, 0);
+  for (const auto& [block, home] : ref) {
+    ASSERT_EQ(p.home_of_block(block), home) << "block " << block;
+    ++counts[static_cast<std::size_t>(home)];
+  }
+  EXPECT_EQ(p.blocks_per_core(), counts);
 }
 
 }  // namespace
