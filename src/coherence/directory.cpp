@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <unordered_set>
 
 #include "util/assert.hpp"
 
@@ -44,10 +43,38 @@ DirectoryCC::DirectoryCC(const Mesh& mesh, const CostModel& cost,
   for (CoreId c = 0; c < mesh_.num_cores(); ++c) {
     caches_.emplace_back(params.private_cache);
   }
+  mask_words_ = (static_cast<std::size_t>(mesh_.num_cores()) + 63) / 64;
 }
 
 DirectoryCC::DirEntry& DirectoryCC::dir_entry(Addr line) {
-  return directory_[line];
+  DirEntry& e = directory_.get(line);
+  if (e.mask == kNoMask) {
+    e.mask = static_cast<std::uint32_t>(mask_pool_.size());
+    EM2_ASSERT(e.mask == mask_pool_.size(), "sharer-mask pool full");
+    mask_pool_.resize(mask_pool_.size() + mask_words_, 0);
+  }
+  return e;
+}
+
+void DirectoryCC::add_sharer(DirEntry& e, CoreId c) noexcept {
+  std::uint64_t& word = mask_of(e)[c >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+  e.sharers += (word & bit) == 0 ? 1 : 0;
+  word |= bit;
+}
+
+void DirectoryCC::remove_sharer(DirEntry& e, CoreId c) noexcept {
+  std::uint64_t& word = mask_of(e)[c >> 6];
+  const std::uint64_t bit = std::uint64_t{1} << (c & 63);
+  e.sharers -= (word & bit) != 0 ? 1 : 0;
+  word &= ~bit;
+}
+
+void DirectoryCC::make_only_sharer(DirEntry& e, CoreId c) noexcept {
+  std::uint64_t* mask = mask_of(e);
+  std::fill(mask, mask + mask_words_, 0);
+  mask[c >> 6] = std::uint64_t{1} << (c & 63);
+  e.sharers = 1;
 }
 
 Cost DirectoryCC::send(CoreId src, CoreId dst, std::uint64_t payload_bits,
@@ -74,24 +101,19 @@ void DirectoryCC::handle_eviction(CoreId core,
   const std::uint64_t line_bits =
       static_cast<std::uint64_t>(params_.private_cache.line_bytes) * 8;
 
-  auto remove_sharer = [&](CoreId c) {
-    entry.sharers.erase(
-        std::remove(entry.sharers.begin(), entry.sharers.end(), c),
-        entry.sharers.end());
-  };
-
   if (vstate == MsiState::kModified) {
     // PutM: write the dirty line back to the home.
     send(core, home, line_bits, Counter::kPutM);
-    remove_sharer(core);
-    entry.state = MsiState::kInvalid;
-    EM2_ASSERT(entry.sharers.empty(),
+    EM2_ASSERT(entry.owner == core && entry.sharers == 1,
                "M line had other sharers in the directory");
+    remove_sharer(entry, core);
+    entry.state = MsiState::kInvalid;
+    entry.owner = kNoCore;
   } else if (vstate == MsiState::kShared) {
     // PutS: notify the directory so its sharer vector stays precise.
     send(core, home, 0, Counter::kPutS);
-    remove_sharer(core);
-    if (entry.sharers.empty()) {
+    remove_sharer(entry, core);
+    if (entry.sharers == 0) {
       entry.state = MsiState::kInvalid;
     }
   }
@@ -133,8 +155,8 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
     if (entry.state == MsiState::kModified) {
       // Forward to the owner; owner sends data to the requester and a
       // downgrade copy to the home.  Critical path: home->owner->requester.
-      EM2_ASSERT(entry.sharers.size() == 1, "M line must have one owner");
-      const CoreId owner = entry.sharers[0];
+      EM2_ASSERT(entry.sharers == 1, "M line must have one owner");
+      const CoreId owner = entry.owner;
       latency += send(home, owner, addr_bits, Counter::kFwdGetS);
       const Cost to_req = send(owner, core, line_bits, Counter::kDataOwner);
       send(owner, home, line_bits, Counter::kWbDowngrade);
@@ -142,23 +164,16 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
       caches_[static_cast<std::size_t>(owner)].set_state(
           line, to_byte(MsiState::kShared));
       entry.state = MsiState::kShared;
-      if (std::find(entry.sharers.begin(), entry.sharers.end(), core) ==
-          entry.sharers.end()) {
-        entry.sharers.push_back(core);
-      }
+      entry.owner = kNoCore;  // the former owner stays a sharer
     } else {
       if (entry.state == MsiState::kInvalid) {
         latency += params_.dram_latency;  // home fetches from memory
         counters_.inc(Counter::kDramFills);
         entry.state = MsiState::kShared;
-        entry.sharers.clear();
       }
       latency += send(home, core, line_bits, Counter::kDataHome);
-      if (std::find(entry.sharers.begin(), entry.sharers.end(), core) ==
-          entry.sharers.end()) {
-        entry.sharers.push_back(core);
-      }
     }
+    add_sharer(entry, core);
     const CacheAccessResult fill =
         cache.fill(line, to_byte(MsiState::kShared), false);
     handle_eviction(core, fill);
@@ -171,24 +186,29 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
                params_.dir_latency;
     DirEntry& entry = dir_entry(line);
     if (entry.state == MsiState::kModified) {
-      EM2_ASSERT(entry.sharers.size() == 1, "M line must have one owner");
-      const CoreId owner = entry.sharers[0];
+      EM2_ASSERT(entry.sharers == 1, "M line must have one owner");
+      const CoreId owner = entry.owner;
       latency += send(home, owner, addr_bits, Counter::kFwdGetM);
       latency += send(owner, core, line_bits, Counter::kDataOwner);
       caches_[static_cast<std::size_t>(owner)].invalidate(line);
-      entry.sharers.clear();
     } else {
-      // Invalidate all sharers (other than the requester); acks return to
-      // the requester in parallel — the critical path is the slowest one.
+      // Invalidate all sharers (other than the requester) in core order;
+      // acks return to the requester in parallel — the critical path is
+      // the slowest one.
       Cost worst_inv = 0;
-      for (const CoreId sharer : entry.sharers) {
-        if (sharer == core) {
-          continue;
+      const std::uint64_t* mask = mask_of(entry);
+      for (std::size_t w = 0; w < mask_words_ && entry.sharers != 0; ++w) {
+        for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+          const auto sharer =
+              static_cast<CoreId>(w * 64 + std::countr_zero(bits));
+          if (sharer == core) {
+            continue;
+          }
+          const Cost inv = send(home, sharer, addr_bits, Counter::kInv);
+          const Cost ack = send(sharer, core, 0, Counter::kInvAck);
+          caches_[static_cast<std::size_t>(sharer)].invalidate(line);
+          worst_inv = std::max(worst_inv, inv + ack);
         }
-        const Cost inv = send(home, sharer, addr_bits, Counter::kInv);
-        const Cost ack = send(sharer, core, 0, Counter::kInvAck);
-        caches_[static_cast<std::size_t>(sharer)].invalidate(line);
-        worst_inv = std::max(worst_inv, inv + ack);
       }
       latency += worst_inv;
       if (entry.state == MsiState::kInvalid) {
@@ -200,10 +220,10 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
       } else {
         latency += send(home, core, 0, Counter::kUpgradeAck);
       }
-      entry.sharers.clear();
     }
     entry.state = MsiState::kModified;
-    entry.sharers.push_back(core);
+    entry.owner = core;
+    make_only_sharer(entry, core);
     const CacheAccessResult fill =
         cache.fill(line, to_byte(MsiState::kModified), true);
     handle_eviction(core, fill);
@@ -231,25 +251,18 @@ std::uint64_t DirectoryCC::total_valid_lines() const {
 }
 
 std::uint64_t DirectoryCC::distinct_resident_lines() const {
-  std::unordered_set<Addr> distinct;
-  // determinism: membership-only — the set's final contents (and the
-  // returned size) are independent of directory_ iteration order.
-  for (const auto& [line, entry] : directory_) {
-    if (entry.state != MsiState::kInvalid && !entry.sharers.empty()) {
-      distinct.insert(line);
-    }
-  }
-  return distinct.size();
+  std::uint64_t distinct = 0;
+  directory_.for_each([&](std::uint64_t, const DirEntry& e) {
+    distinct += e.state != MsiState::kInvalid && e.sharers != 0 ? 1 : 0;
+  });
+  return distinct;
 }
 
 std::uint64_t DirectoryCC::directory_bits() const {
   std::uint64_t tracked = 0;
-  // determinism: order-insensitive integer count over the entries.
-  for (const auto& [line, entry] : directory_) {
-    if (entry.state != MsiState::kInvalid) {
-      ++tracked;
-    }
-  }
+  directory_.for_each([&](std::uint64_t, const DirEntry& e) {
+    tracked += e.state != MsiState::kInvalid ? 1 : 0;
+  });
   return tracked * (2 + static_cast<std::uint64_t>(mesh_.num_cores()));
 }
 

@@ -15,6 +15,16 @@
 // protocol messages, traffic bits, replication, and directory state — the
 // quantities the paper's claims are about.
 //
+// Storage mirrors the hardware being modelled.  Each core's private cache
+// packs a simulated set into one 64-byte host line (mem/cache.hpp).  The
+// directory is full-map: a flat PageTable of entries keyed by line, each
+// with its MSI state, an explicit owner while in M, a sharer count and a
+// P-bit sharer mask (ceil(P/64) words) drawn from one pool, so a
+// membership test is one bit and no entry allocates on its own.  A write
+// invalidates the sharers by walking the mask's set bits, i.e. in
+// ascending core order, as a full-map directory's fan-out does; the
+// invalidation packets handed to a TrafficSink follow that order.
+//
 // Scheduler note: under CC, data moves and threads do not — every thread
 // executes pinned to its native core for the whole run.  The execution
 // engine's event-driven scheduler therefore builds each core's resident
@@ -24,7 +34,6 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/mesh.hpp"
@@ -33,6 +42,7 @@
 #include "noc/traffic.hpp"
 #include "placement/placement.hpp"
 #include "util/counters.hpp"
+#include "util/page_table.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
@@ -105,15 +115,30 @@ class DirectoryCC {
   std::uint64_t directory_bits() const;
 
  private:
+  static constexpr std::uint32_t kNoMask = ~std::uint32_t{0};
   struct DirEntry {
     MsiState state = MsiState::kInvalid;
-    std::vector<CoreId> sharers;  ///< sorted; owner is sharers[0] in M
+    CoreId owner = kNoCore;  ///< the one sharer while in M
+    std::uint32_t sharers = 0;  ///< set bits in the mask
+    std::uint32_t mask = kNoMask;  ///< first word in mask_pool_
   };
 
   Addr line_of(Addr addr) const noexcept {
     return addr >> line_shift_;
   }
+  /// The directory entry of `line`, created Invalid with an empty mask on
+  /// first use.  Valid until the next dir_entry call.
   DirEntry& dir_entry(Addr line);
+  std::uint64_t* mask_of(const DirEntry& e) noexcept {
+    return mask_pool_.data() + e.mask;
+  }
+  bool is_sharer(const DirEntry& e, CoreId c) noexcept {
+    return (mask_of(e)[c >> 6] >> (c & 63) & 1) != 0;
+  }
+  void add_sharer(DirEntry& e, CoreId c) noexcept;
+  void remove_sharer(DirEntry& e, CoreId c) noexcept;
+  /// Empties the sharer set and makes `c` its only member.
+  void make_only_sharer(DirEntry& e, CoreId c) noexcept;
   /// One protocol message src -> dst carrying `payload_bits`; returns its
   /// latency and does the traffic/count accounting.
   Cost send(CoreId src, CoreId dst, std::uint64_t payload_bits,
@@ -127,7 +152,9 @@ class DirectoryCC {
   const Placement& placement_;
   std::uint32_t line_shift_;
   std::vector<Cache> caches_;
-  std::unordered_map<Addr, DirEntry> directory_;
+  std::size_t mask_words_;  // ceil(cores / 64)
+  PageTable<DirEntry> directory_;
+  std::vector<std::uint64_t> mask_pool_;
   FastCounters counters_;
   std::uint64_t traffic_bits_ = 0;
   Cost total_latency_ = 0;

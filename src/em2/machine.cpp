@@ -36,8 +36,7 @@ Em2Machine::Em2Machine(const Mesh& mesh, const CostModel& cost,
   if (params_.model_caches) {
     caches_.reserve(static_cast<std::size_t>(mesh_.num_cores()));
     for (CoreId c = 0; c < mesh_.num_cores(); ++c) {
-      caches_.push_back(std::make_unique<CacheHierarchy>(
-          params_.l1, params_.l2, params_.latency));
+      caches_.emplace_back(params_.l1, params_.l2, params_.latency);
     }
   }
 }
@@ -82,7 +81,7 @@ std::pair<std::size_t, Cost> Em2Machine::evict_for_arrival(
 std::uint32_t Em2Machine::serve_memory_cached(CoreId core, Addr addr,
                                               MemOp op) {
   const HierarchyResult r =
-      caches_[static_cast<std::size_t>(core)]->access(addr, op);
+      caches_[static_cast<std::size_t>(core)].access(addr, op);
   switch (r.level) {
     case HitLevel::kL1:
       counters_.inc(Counter::kL1Hits);
@@ -334,11 +333,11 @@ bool Em2Machine::verify_thread_conservation() const {
 
 Em2Machine::CacheTotals Em2Machine::cache_totals() const {
   CacheTotals totals;
-  for (const auto& h : caches_) {
-    totals.l1_hits += h->l1().hits();
-    totals.l2_hits += h->l2().hits();
-    totals.dram_fills += h->dram_fills();
-    totals.dram_writebacks += h->dram_writebacks();
+  for (const CacheHierarchy& h : caches_) {
+    totals.l1_hits += h.l1().hits();
+    totals.l2_hits += h.l2().hits();
+    totals.dram_fills += h.dram_fills();
+    totals.dram_writebacks += h.dram_writebacks();
   }
   return totals;
 }

@@ -26,7 +26,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -349,7 +348,7 @@ class Em2Machine {
   /// guest_pos_[t]: t's slot index at its current core; valid only while
   /// t is a guest (i.e., away from its native core).
   std::vector<std::uint8_t> guest_pos_;
-  std::vector<std::unique_ptr<CacheHierarchy>> caches_;
+  std::vector<CacheHierarchy> caches_;
   std::vector<Cost> per_thread_cost_;
   std::array<std::uint64_t, vnet::kNumVnets> vnet_bits_{};
   Cost total_thread_cost_ = 0;

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <vector>
 
@@ -38,14 +39,24 @@ struct CacheAccessResult {
 
 /// One level of set-associative cache.
 ///
-/// Storage is a structure of arrays, indexed by slot = set * ways + way:
-/// a tag array padded so that an 8-way set fills exactly one 64-byte
-/// line, then LRU stamps, protocol-state bytes and dirty bytes.  A lookup
-/// compares tags only; the other arrays are read once the slot is known.
-/// A way is valid iff its stamp is nonzero: the LRU clock starts at 1, so
-/// the encoding cannot alias any 64-bit line address (line ~0 with
-/// 1-byte lines included).  Invalid ways keep the tag ~0 so a lookup of
-/// an ordinary line never has to read their stamps.
+/// Each simulated set is one packed block of host memory: `ways` tags,
+/// then `ways` LRU rank bytes, `ways` protocol-state bytes and `ways`
+/// dirty bytes.  The block's stride is a power of two, so a set never
+/// straddles a 64-byte host line it does not need: an 8-way set uses 56
+/// bytes of exactly one line, and a hit reads that one line.
+///
+/// A tag stores `line / num_sets`; the set index supplies the rest of
+/// the line address.  Tags are 32 bits wide until the cache is asked to
+/// fill a line whose quotient does not fit below `kNarrowInvalidTag`; the
+/// cache then re-lays itself out once with 64-bit tags (the wide layout)
+/// and stays wide.  A narrow cache answers "absent" for such a line
+/// without looking, which is exact because it never held one.  So no two
+/// lines share a tag, line ~0 with 1-byte lines included.
+///
+/// Ranks encode true LRU: the valid ways of a set hold ranks 0 (most
+/// recently used) to n-1, and an invalid way holds kInvalidRank.  The
+/// victim of a fill is the first invalid way, else the way ranked
+/// ways-1 — the same choice as the oldest of distinct LRU stamps.
 class Cache {
  public:
   /// The slot `find` returns for a line that is not resident.
@@ -65,20 +76,37 @@ class Cache {
   /// Slot of a resident line, or kAbsent.  Does not update LRU.  A slot
   /// stays valid until the next fill or invalidate of this cache.
   std::size_t find(Addr line_addr) const noexcept {
-    const std::size_t base = set_index(line_addr) * params_.ways;
-    for (std::size_t s = base; s < base + params_.ways; ++s) {
-      if (tag(s) == line_addr && stamps_[s] != 0) {
-        return s;
+    // One divide yields both: the compiler folds / and the product.
+    const Addr quotient = line_addr / num_sets_;
+    const std::size_t base = static_cast<std::size_t>(
+                                 line_addr - quotient * num_sets_)
+                             << set_shift_;
+    if (wide_) {
+      return find_wide(base, quotient);
+    }
+    if (quotient >= kNarrowInvalidTag) {
+      return kAbsent;  // only a wide cache can hold this line
+    }
+    const auto tag = static_cast<std::uint32_t>(quotient);
+    const unsigned char* set = bytes() + base;
+    for (std::uint32_t w = 0; w < params_.ways; ++w) {
+      std::uint32_t t;
+      std::memcpy(&t, set + w * sizeof t, sizeof t);
+      if (t == tag) {
+        return base + w;
       }
     }
     return kAbsent;
   }
   /// Protocol state of the resident line in `slot`.
   std::uint8_t state_at(std::size_t slot) const noexcept {
-    return state_[slot];
+    return bytes()[slot + state_offset_];
   }
   /// Marks the resident line in `slot` most recently used.
-  void touch_at(std::size_t slot) noexcept { stamps_[slot] = ++tick_; }
+  void touch_at(std::size_t slot) noexcept {
+    unsigned char* rank = bytes() + (slot & ~set_mask_) + rank_offset_;
+    promote(rank, slot & set_mask_);
+  }
 
   /// Presence test without touching replacement state.
   bool contains(Addr line_addr) const noexcept {
@@ -124,33 +152,51 @@ class Cache {
   std::uint64_t writebacks() const noexcept { return writebacks_; }
 
  private:
-  static constexpr Addr kInvalidTag = ~Addr{0};
-  /// Eight tags on one 64-byte line: slot s lives at [s / 8].tag[s % 8].
-  struct alignas(64) TagLine {
-    Addr tag[8];
+  /// The narrow layout's tag of an invalid way; quotients at or above it
+  /// need the wide layout.
+  static constexpr Addr kNarrowInvalidTag = 0xFFFFFFFFu;
+  static constexpr unsigned char kInvalidRank = 0xFF;
+  struct alignas(64) HostLine {
+    unsigned char b[64];
   };
 
-  Addr tag(std::size_t slot) const noexcept {
-    return tags_[slot >> 3].tag[slot & 7];
+  const unsigned char* bytes() const noexcept {
+    return reinterpret_cast<const unsigned char*>(lines_.data());
   }
-  Addr& tag(std::size_t slot) noexcept {
-    return tags_[slot >> 3].tag[slot & 7];
+  unsigned char* bytes() noexcept {
+    return reinterpret_cast<unsigned char*>(lines_.data());
   }
-  // Modulo (not mask) so non-power-of-two set counts are legal: the 80KB
-  // combined-capacity cache of the CC baseline has 160 sets.
-  std::size_t set_index(Addr line_addr) const noexcept {
-    return static_cast<std::size_t>(line_addr %
-                                    static_cast<Addr>(num_sets_));
+  /// Ranks every valid way that was more recent than `way` one older
+  /// and makes `way` the most recent.  An invalid way (kInvalidRank)
+  /// being promoted ages every valid way.
+  void promote(unsigned char* rank, std::size_t way) const noexcept {
+    const unsigned char r = rank[way];
+    if (r == 0) {
+      return;
+    }
+    for (std::uint32_t w = 0; w < params_.ways; ++w) {
+      rank[w] = static_cast<unsigned char>(rank[w] + (rank[w] < r ? 1 : 0));
+    }
+    rank[way] = 0;
   }
+  /// Lays out `num_sets_` empty sets with `tag_bytes`-wide tags.
+  void layout(std::size_t tag_bytes);
+  /// Re-lays every set out with 64-bit tags (see the class comment).
+  void widen();
+  std::size_t find_wide(std::size_t base, Addr quotient) const noexcept;
+  Addr tag_at(std::size_t slot) const noexcept;
+  void set_tag_at(std::size_t slot, Addr quotient) noexcept;
 
   CacheParams params_;
   std::uint32_t num_sets_;
   std::uint32_t line_shift_;
-  std::vector<TagLine> tags_;          // kInvalidTag in invalid ways
-  std::vector<std::uint64_t> stamps_;  // LRU stamp; 0 = invalid way
-  std::vector<std::uint8_t> state_;
-  std::vector<std::uint8_t> dirty_;
-  std::uint64_t tick_ = 0;  // LRU clock; the last stamp handed out
+  bool wide_ = false;
+  std::uint32_t set_shift_ = 0;  // log2 of a set's stride in bytes
+  std::size_t set_mask_ = 0;     // stride - 1: a slot's way bits
+  std::size_t rank_offset_ = 0;  // from a set's base to its rank bytes
+  std::size_t state_offset_ = 0;
+  std::size_t dirty_offset_ = 0;
+  std::vector<HostLine> lines_;
   std::uint64_t valid_lines_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

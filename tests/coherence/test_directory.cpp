@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/rng.hpp"
 
 namespace em2 {
@@ -132,6 +134,101 @@ TEST(DirectoryCC, MessagesConserveWithTraffic) {
   EXPECT_EQ(f.cc.counters().get("accesses"), 500u);
   EXPECT_EQ(f.cc.counters().get("hits") + f.cc.counters().get("misses"),
             500u);
+}
+
+// Records every protocol packet the directory hands its traffic sink.
+struct CapturingSink final : TrafficSink {
+  struct Packet {
+    CoreId src;
+    CoreId dst;
+    std::int32_t vn;
+    std::uint64_t payload_bits;
+  };
+  void on_packet(CoreId src, CoreId dst, std::int32_t vn,
+                 std::uint64_t payload_bits) override {
+    packets.push_back({src, dst, vn, payload_bits});
+  }
+  /// Destinations of the requests `home` sent (Inv, FwdGetS, FwdGetM).
+  std::vector<CoreId> requests_from(CoreId home) const {
+    std::vector<CoreId> dsts;
+    for (const Packet& p : packets) {
+      if (p.src == home && p.vn == vnet::kMemRequest) {
+        dsts.push_back(p.dst);
+      }
+    }
+    return dsts;
+  }
+  std::vector<Packet> packets;
+};
+
+// The full-map directory walks its sharer mask by set bit, so a write
+// invalidates in ascending core order, whatever order the sharers joined.
+TEST(DirectoryCC, InvalidatesSharersInCoreOrder) {
+  CcFixture f;
+  const Addr addr = 12 * 64;  // striped: line 12 lives at core 12
+  const CoreId home = f.placement.home_of_block(addr / 64);
+  ASSERT_EQ(home, 12);
+  for (const CoreId c : {5, 2, 9}) {
+    f.cc.access(c, addr, MemOp::kRead);
+  }
+  CapturingSink sink;
+  f.cc.set_traffic_sink(&sink);
+  f.cc.access(0, addr, MemOp::kWrite);
+  EXPECT_EQ(sink.requests_from(home), (std::vector<CoreId>{2, 5, 9}));
+  EXPECT_EQ(f.cc.counters().get("inv"), 3u);
+}
+
+// A 32x32 mesh needs 16 mask words per line; the walk crosses words in
+// core order, the directory charges P = 1024 sharer bits per tracked
+// line, and the explicit M owner is the one forwarded to after a read
+// downgrade and forgotten after a PutM.
+TEST(DirectoryCC, FullMapAt1024Cores) {
+  const Mesh mesh{32, 32};
+  const CostModel cost{mesh, CostModelParams{}};
+  const StripedPlacement placement{1024};
+  DirCcParams params;
+  params.private_cache = CacheParams{128, 2, 64};  // one set, two ways
+  DirectoryCC cc{mesh, cost, params, placement};
+  CapturingSink sink;
+  cc.set_traffic_sink(&sink);
+
+  const Addr line = 500;  // home core 500
+  const Addr addr = line * 64;
+  for (const CoreId c : {1000, 3, 64}) {
+    cc.access(c, addr, MemOp::kRead);
+  }
+  sink.packets.clear();
+  cc.access(0, addr, MemOp::kWrite);
+  EXPECT_EQ(sink.requests_from(500), (std::vector<CoreId>{3, 64, 1000}));
+  cc.access(7, 501 * 64, MemOp::kRead);
+  EXPECT_EQ(cc.directory_bits(), 2u * (2 + 1024));
+
+  // Core 1000 takes the line in M; core 64's read is forwarded to it.
+  cc.access(1000, addr, MemOp::kWrite);
+  sink.packets.clear();
+  cc.access(64, addr, MemOp::kRead);
+  EXPECT_EQ(sink.requests_from(500), (std::vector<CoreId>{1000}));
+  EXPECT_EQ(cc.counters().get("fwd_gets"), 1u);
+  // After the downgrade both cores share, in core order.
+  sink.packets.clear();
+  cc.access(3, addr, MemOp::kWrite);
+  EXPECT_EQ(sink.requests_from(500), (std::vector<CoreId>{64, 1000}));
+
+  // Core 3 owns the line in M.  Two more lines fill its one set, and the
+  // line leaves by PutM: the next read finds no owner and goes to DRAM.
+  const std::uint64_t putm = cc.counters().get("putm");
+  cc.access(3, 502 * 64, MemOp::kRead);
+  cc.access(3, 503 * 64, MemOp::kRead);
+  EXPECT_EQ(cc.counters().get("putm"), putm + 1);
+  const std::uint64_t dram = cc.counters().get("dram_fills");
+  sink.packets.clear();
+  cc.access(5, addr, MemOp::kRead);
+  EXPECT_EQ(cc.counters().get("dram_fills"), dram + 1);
+  EXPECT_EQ(sink.requests_from(500), std::vector<CoreId>{});
+  sink.packets.clear();
+  cc.access(6, addr, MemOp::kWrite);
+  EXPECT_EQ(sink.requests_from(500), (std::vector<CoreId>{5}));
+  EXPECT_EQ(cc.distinct_resident_lines(), 4u);  // 500, 501, 502, 503
 }
 
 // Protocol invariant sweep: after any random access stream, every line is

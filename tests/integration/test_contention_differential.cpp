@@ -174,5 +174,44 @@ TEST(ContentionGoldens, KNoneReportsBitIdenticalToPreContentionTree) {
   }
 }
 
+// ---- kMeasured CC golden rows ---------------------------------------------
+//
+// CC under kMeasured at 64 threads, first-touch placement, default
+// params.  The calibration replays the directory's packets in the order
+// it sends them, so these values also pin the invalidation fan-out
+// order: the full-map directory invalidates sharers in ascending core
+// order (a join-order sharer list read lu's measured_total_latency as
+// 250382 and calibration_cycles as 2542).
+
+struct MeasuredCcGolden {
+  const char* workload;
+  double cost_per_access;
+  Cost measured_total_latency;
+  Cycle calibration_cycles;
+};
+
+constexpr MeasuredCcGolden kMeasuredCcGoldens[] = {
+    {"lu", 3.1769831730769229, 249464, 2532},
+    {"radix", 18.552426343154245, 1427759, 12685},
+    {"sharing-mix", 13.166143932481752, 248096, 4621},
+};
+
+TEST(ContentionGoldens, KMeasuredCcAt64ThreadsPinsCoreOrderFanOut) {
+  SystemConfig cfg;
+  cfg.threads = 64;
+  System sys(cfg);
+  for (const MeasuredCcGolden& g : kMeasuredCcGoldens) {
+    const auto w = workload::make_workload(g.workload, 64);
+    const RunReport r = sys.run(
+        w, {.arch = MemArch::kCc, .contention = ContentionMode::kMeasured});
+    ASSERT_TRUE(r.noc.has_value()) << g.workload;
+    EXPECT_DOUBLE_EQ(r.cost_per_access, g.cost_per_access) << g.workload;
+    EXPECT_EQ(r.noc->measured_total_latency, g.measured_total_latency)
+        << g.workload;
+    EXPECT_EQ(r.noc->calibration_cycles, g.calibration_cycles)
+        << g.workload;
+  }
+}
+
 }  // namespace
 }  // namespace em2
