@@ -56,18 +56,22 @@ DirectoryCC::DirEntry& DirectoryCC::dir_entry(Addr line) {
   return e;
 }
 
+// The mask is exactly the set of caches holding the line, so a core
+// joins only on its own miss and leaves only on its own eviction.
 void DirectoryCC::add_sharer(DirEntry& e, CoreId c) noexcept {
   std::uint64_t& word = mask_of(e)[c >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (c & 63);
-  e.sharers += (word & bit) == 0 ? 1 : 0;
+  EM2_ASSERT((word & bit) == 0, "a missing core was already a sharer");
   word |= bit;
+  ++e.sharers;
 }
 
 void DirectoryCC::remove_sharer(DirEntry& e, CoreId c) noexcept {
   std::uint64_t& word = mask_of(e)[c >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (c & 63);
-  e.sharers -= (word & bit) != 0 ? 1 : 0;
+  EM2_ASSERT((word & bit) != 0, "an evicting core was not a sharer");
   word &= ~bit;
+  --e.sharers;
 }
 
 void DirectoryCC::make_only_sharer(DirEntry& e, CoreId c) noexcept {
@@ -197,7 +201,7 @@ CcAccessResult DirectoryCC::access(CoreId core, Addr addr, MemOp op) {
       // the slowest one.
       Cost worst_inv = 0;
       const std::uint64_t* mask = mask_of(entry);
-      for (std::size_t w = 0; w < mask_words_ && entry.sharers != 0; ++w) {
+      for (std::size_t w = 0; w < mask_words_; ++w) {
         for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
           const auto sharer =
               static_cast<CoreId>(w * 64 + std::countr_zero(bits));

@@ -132,9 +132,6 @@ class DirectoryCC {
   std::uint64_t* mask_of(const DirEntry& e) noexcept {
     return mask_pool_.data() + e.mask;
   }
-  bool is_sharer(const DirEntry& e, CoreId c) noexcept {
-    return (mask_of(e)[c >> 6] >> (c & 63) & 1) != 0;
-  }
   void add_sharer(DirEntry& e, CoreId c) noexcept;
   void remove_sharer(DirEntry& e, CoreId c) noexcept;
   /// Empties the sharer set and makes `c` its only member.

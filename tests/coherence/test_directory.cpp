@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -230,6 +235,255 @@ TEST(DirectoryCC, FullMapAt1024Cores) {
   EXPECT_EQ(sink.requests_from(500), (std::vector<CoreId>{5}));
   EXPECT_EQ(cc.distinct_resident_lines(), 4u);  // 500, 501, 502, 503
 }
+
+// Reference model for the differential test: the MSI protocol over a
+// std::map of entries, each with a sorted std::vector of sharers (the
+// owner is sharers[0] in M).  Private caches are em2::Cache, which
+// tests/mem/test_cache.cpp checks against its own reference.
+class RefDirectory {
+ public:
+  RefDirectory(const Mesh& mesh, const CostModel& cost,
+               const DirCcParams& params, const Placement& placement,
+               TrafficSink& sink)
+      : cost_(cost), params_(params), placement_(placement), sink_(sink) {
+    for (CoreId c = 0; c < mesh.num_cores(); ++c) {
+      caches_.emplace_back(params.private_cache);
+    }
+    num_cores_ = static_cast<std::uint64_t>(mesh.num_cores());
+  }
+
+  CcAccessResult access(CoreId core, Addr addr, MemOp op) {
+    ++counts["accesses"];
+    const Addr line = addr / params_.private_cache.line_bytes;
+    Cache& cache = caches_[static_cast<std::size_t>(core)];
+    const auto cstate = static_cast<MsiState>(
+        cache.state_of(line).value_or(0));
+    const std::uint64_t line_bits =
+        std::uint64_t{params_.private_cache.line_bytes} * 8;
+    const std::uint64_t addr_bits = cost_.params().addr_bits;
+    CcAccessResult r;
+    Cost latency = params_.hit_latency;
+    if (cstate == MsiState::kModified ||
+        (op == MemOp::kRead && cstate == MsiState::kShared)) {
+      cache.touch(line);
+      ++counts["hits"];
+      r.hit = true;
+    } else if (op == MemOp::kRead) {
+      ++counts["misses"];
+      const CoreId home = placement_.home_of_block(line);
+      latency += send(core, home, addr_bits, "gets", false) +
+                 params_.dir_latency;
+      Entry& e = dir_[line];
+      if (e.state == MsiState::kModified) {
+        const CoreId owner = e.sharers[0];
+        latency += send(home, owner, addr_bits, "fwd_gets", false);
+        latency += send(owner, core, line_bits, "data_owner", true);
+        send(owner, home, line_bits, "wb_downgrade", true);
+        caches_[static_cast<std::size_t>(owner)].set_state(
+            line, static_cast<std::uint8_t>(MsiState::kShared));
+      } else {
+        if (e.state == MsiState::kInvalid) {
+          latency += params_.dram_latency;
+          ++counts["dram_fills"];
+        }
+        latency += send(home, core, line_bits, "data_home", true);
+      }
+      e.state = MsiState::kShared;
+      const auto at = std::lower_bound(e.sharers.begin(), e.sharers.end(),
+                                       core);
+      if (at == e.sharers.end() || *at != core) {
+        e.sharers.insert(at, core);
+      }
+      evict(core, cache.fill(line,
+                             static_cast<std::uint8_t>(MsiState::kShared),
+                             false));
+    } else {
+      ++counts["misses"];
+      const CoreId home = placement_.home_of_block(line);
+      const bool upgrade = cstate == MsiState::kShared;
+      latency += send(core, home, addr_bits, upgrade ? "upgrade" : "getm",
+                      false) +
+                 params_.dir_latency;
+      Entry& e = dir_[line];
+      if (e.state == MsiState::kModified) {
+        const CoreId owner = e.sharers[0];
+        latency += send(home, owner, addr_bits, "fwd_getm", false);
+        latency += send(owner, core, line_bits, "data_owner", true);
+        caches_[static_cast<std::size_t>(owner)].invalidate(line);
+      } else {
+        Cost worst = 0;
+        for (const CoreId s : e.sharers) {
+          if (s != core) {
+            const Cost inv = send(home, s, addr_bits, "inv", false);
+            const Cost ack = send(s, core, 0, "inv_ack", true);
+            caches_[static_cast<std::size_t>(s)].invalidate(line);
+            worst = std::max(worst, inv + ack);
+          }
+        }
+        latency += worst;
+        if (e.state == MsiState::kInvalid) {
+          latency += params_.dram_latency;
+          ++counts["dram_fills"];
+        }
+        latency += upgrade ? send(home, core, 0, "upgrade_ack", true)
+                           : send(home, core, line_bits, "data_home", true);
+      }
+      e.state = MsiState::kModified;
+      e.sharers = {core};
+      evict(core, cache.fill(line,
+                             static_cast<std::uint8_t>(MsiState::kModified),
+                             true));
+    }
+    r.latency = latency;
+    total_latency += latency;
+    return r;
+  }
+
+  std::uint64_t directory_bits() const {
+    std::uint64_t tracked = 0;
+    for (const auto& [line, e] : dir_) {
+      tracked += e.state != MsiState::kInvalid ? 1 : 0;
+    }
+    return tracked * (2 + num_cores_);
+  }
+  std::uint64_t distinct_resident_lines() const {
+    std::uint64_t n = 0;
+    for (const auto& [line, e] : dir_) {
+      n += e.state != MsiState::kInvalid && !e.sharers.empty() ? 1 : 0;
+    }
+    return n;
+  }
+  std::uint64_t total_valid_lines() const {
+    std::uint64_t n = 0;
+    for (const Cache& c : caches_) {
+      n += c.valid_lines();
+    }
+    return n;
+  }
+
+  std::map<std::string, std::uint64_t> counts;
+  std::uint64_t traffic_bits = 0;
+  Cost total_latency = 0;
+
+ private:
+  struct Entry {
+    MsiState state = MsiState::kInvalid;
+    std::vector<CoreId> sharers;
+  };
+
+  Cost send(CoreId src, CoreId dst, std::uint64_t bits, const char* name,
+            bool reply) {
+    ++counts[name];
+    ++counts["messages"];
+    traffic_bits += bits + cost_.params().header_bits;
+    const int vn = reply ? vnet::kMemReply : vnet::kMemRequest;
+    if (src != dst) {
+      sink_.on_packet(src, dst, vn, bits);
+    }
+    return cost_.message(src, dst, bits, vn);
+  }
+  void evict(CoreId core, const CacheAccessResult& fill) {
+    if (!fill.evicted) {
+      return;
+    }
+    const CoreId home = placement_.home_of_block(fill.victim_line);
+    Entry& e = dir_[fill.victim_line];
+    const bool modified =
+        static_cast<MsiState>(fill.victim_state) == MsiState::kModified;
+    send(core, home,
+         modified ? std::uint64_t{params_.private_cache.line_bytes} * 8 : 0,
+         modified ? "putm" : "puts", modified);
+    e.sharers.erase(std::remove(e.sharers.begin(), e.sharers.end(), core),
+                    e.sharers.end());
+    if (e.sharers.empty()) {
+      e.state = MsiState::kInvalid;
+    }
+  }
+
+  const CostModel& cost_;
+  DirCcParams params_;
+  const Placement& placement_;
+  TrafficSink& sink_;
+  std::vector<Cache> caches_;
+  std::map<Addr, Entry> dir_;
+  std::uint64_t num_cores_ = 0;
+};
+
+struct DirDiffCase {
+  const char* name;
+  std::int32_t width;
+  std::int32_t height;
+};
+void PrintTo(const DirDiffCase& c, std::ostream* os) { *os << c.name; }
+class DirectoryDifferential : public ::testing::TestWithParam<DirDiffCase> {
+};
+
+// Seeded random access streams over a small line pool, with private
+// caches small enough to evict: every result, every packet in order, and
+// the counters, traffic, latency, occupancy and directory size match the
+// reference.  The meshes cover one mask word, a partial second word and
+// sixteen words.
+TEST_P(DirectoryDifferential, MatchesSortedVectorReference) {
+  const DirDiffCase& dc = GetParam();
+  const Mesh mesh{dc.width, dc.height};
+  const CostModel cost{mesh, CostModelParams{}};
+  const StripedPlacement placement{mesh.num_cores()};
+  DirCcParams params;
+  params.private_cache = CacheParams{4 * 2 * 64, 2, 64};  // 4 sets x 2 ways
+  for (const std::uint64_t seed : {1ull, 2ull}) {
+    DirectoryCC cc{mesh, cost, params, placement};
+    CapturingSink got;
+    cc.set_traffic_sink(&got);
+    CapturingSink want;
+    RefDirectory ref{mesh, cost, params, placement, want};
+    // Sixteen cores spread over the whole mesh (off the word-aligned
+    // ones where there is room) keep lines shared while their sharer
+    // sets span every mask word.
+    const CoreId n = mesh.num_cores();
+    std::vector<CoreId> cores;
+    for (CoreId i = 0; i < 16; ++i) {
+      cores.push_back(i * n / 16 + (n / 16 > 2 ? i % 3 : 0));
+    }
+    Rng rng(seed);
+    for (int step = 0; step < 20000; ++step) {
+      const CoreId core = cores[rng.next_below(cores.size())];
+      const Addr addr = rng.next_below(24) * 64 + rng.next_below(64);
+      const MemOp op = rng.next_bool(0.3) ? MemOp::kWrite : MemOp::kRead;
+      const CcAccessResult a = cc.access(core, addr, op);
+      const CcAccessResult b = ref.access(core, addr, op);
+      ASSERT_EQ(a.hit, b.hit) << "step " << step;
+      ASSERT_EQ(a.latency, b.latency) << "step " << step;
+      ASSERT_EQ(got.packets.size(), want.packets.size()) << "step " << step;
+    }
+    for (std::size_t i = 0; i < got.packets.size(); ++i) {
+      const auto& g = got.packets[i];
+      const auto& w = want.packets[i];
+      ASSERT_EQ(std::tie(g.src, g.dst, g.vn, g.payload_bits),
+                std::tie(w.src, w.dst, w.vn, w.payload_bits))
+          << "packet " << i;
+    }
+    for (const auto& [name, count] : ref.counts) {
+      EXPECT_EQ(cc.counters().get(name), count) << name;
+    }
+    EXPECT_EQ(cc.traffic_bits(), ref.traffic_bits);
+    EXPECT_EQ(cc.total_latency(), ref.total_latency);
+    EXPECT_EQ(cc.total_valid_lines(), ref.total_valid_lines());
+    EXPECT_EQ(cc.distinct_resident_lines(), ref.distinct_resident_lines());
+    EXPECT_EQ(cc.directory_bits(), ref.directory_bits());
+    EXPECT_GT(ref.counts["inv"], 0u);
+    EXPECT_GT(ref.counts["putm"], 0u);
+    EXPECT_GT(ref.counts["fwd_gets"], 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Meshes, DirectoryDifferential,
+    ::testing::Values(DirDiffCase{"Cores16", 4, 4},
+                      DirDiffCase{"Cores72", 9, 8},
+                      DirDiffCase{"Cores1024", 32, 32}),
+    [](const auto& param_info) {
+      return std::string(param_info.param.name);
+    });
 
 // Protocol invariant sweep: after any random access stream, every line is
 // either uncached, in M at exactly one core, or in S at >= 1 cores — we

@@ -403,5 +403,36 @@ TEST(Cache, TopLineOfTheAddressSpaceIsNotAnInvalidWay) {
   }
 }
 
+// Tags hold line / num_sets in 32 bits until a quotient of 2^32 - 1 or
+// more arrives.  The largest narrow quotient must never match an invalid
+// way, and the first wide one re-lays the cache out keeping every
+// resident line's state, dirtiness and LRU order.
+TEST(Cache, NarrowToWideTagBoundary) {
+  Cache c(CacheParams{3 * 64, 3, 64});  // one set: line == quotient
+  const Addr top_narrow = 0xFFFFFFFEu;
+  const Addr first_wide = 0xFFFFFFFFu;
+  EXPECT_FALSE(c.contains(top_narrow));
+  EXPECT_FALSE(c.contains(first_wide));
+  c.fill(5, 1, false);
+  EXPECT_TRUE(c.invalidate(5).has_value());
+  EXPECT_FALSE(c.contains(top_narrow)) << "an invalidated way matched";
+  EXPECT_FALSE(c.fill(top_narrow, 2, true).evicted);
+  EXPECT_EQ(c.state_of(top_narrow), std::optional<std::uint8_t>{2});
+  EXPECT_FALSE(c.fill(7, 3, false).evicted);
+  EXPECT_TRUE(c.touch(top_narrow));  // LRU order: 7, then top_narrow
+
+  EXPECT_FALSE(c.fill(first_wide, 1, false).evicted);  // widens
+  EXPECT_EQ(c.valid_lines(), 3u);
+  EXPECT_EQ(c.state_of(top_narrow), std::optional<std::uint8_t>{2});
+  EXPECT_EQ(c.state_of(7), std::optional<std::uint8_t>{3});
+  EXPECT_EQ(c.state_of(first_wide), std::optional<std::uint8_t>{1});
+  const CacheAccessResult r = c.fill(~Addr{0} >> 6, 0, false);
+  EXPECT_TRUE(r.evicted);
+  EXPECT_EQ(r.victim_line, 7u);
+  const CacheAccessResult r2 = c.fill(9, 0, false);
+  EXPECT_EQ(r2.victim_line, top_narrow);
+  EXPECT_TRUE(r2.writeback);
+}
+
 }  // namespace
 }  // namespace em2
