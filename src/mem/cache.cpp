@@ -203,7 +203,7 @@ std::optional<bool> Cache::invalidate(Addr line_addr) {
   }
   rank[way] = kInvalidRank;
   const bool dirty = bytes()[slot + dirty_offset_] != 0;
-  set_tag_at(slot, wide_ ? 0 : kNarrowInvalidTag);
+  set_tag_at(slot, kNarrowInvalidTag);  // a narrow lookup skips it
   bytes()[slot + dirty_offset_] = 0;
   bytes()[slot + state_offset_] = 0;
   --valid_lines_;
