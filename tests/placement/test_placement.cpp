@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "trace/round_robin.hpp"
@@ -216,6 +217,59 @@ TEST(FirstTouch, MatchesMapReferenceOn256Threads) {
     ++counts[static_cast<std::size_t>(home)];
   }
   EXPECT_EQ(p.blocks_per_core(), counts);
+}
+
+// Every scheme's home for a fixed trace and block list: the touched
+// blocks 0..39, the never-touched 40..47 (fallback homes) and three high
+// blocks up to ~0 >> 6.  The expected homes were recorded from the
+// scheme-per-subclass implementation, so any refactor of Placement must
+// reproduce them exactly.
+TEST(Placement, HomesArePinned) {
+  TraceSet ts(64);
+  const CoreId natives[] = {5, 2, 6, 0};
+  for (int t = 0; t < 4; ++t) {
+    ThreadTrace thread(t, natives[t]);
+    for (int i = 0; i < 32; ++i) {
+      const auto block = static_cast<Addr>((i * i * 3 + t * 17) % 40);
+      thread.append(block * 64 + 8 * static_cast<Addr>(t),
+                    i % 3 == 0 ? MemOp::kWrite : MemOp::kRead);
+    }
+    ts.add_thread(std::move(thread));
+  }
+  std::vector<Addr> blocks;
+  for (Addr b = 0; b < 48; ++b) {
+    blocks.push_back(b);
+  }
+  blocks.push_back(Addr{1} << 40);
+  blocks.push_back((~Addr{0} >> 6) - 1);
+  blocks.push_back(~Addr{0} >> 6);
+  const std::map<std::string, std::vector<CoreId>> pinned = {
+      {"striped",
+       {0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2,
+        3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5,
+        6, 0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 2, 0, 1}},
+      {"hashed",
+       {2, 2, 4, 2, 6, 3, 3, 2, 4, 2, 1, 1, 1, 2, 5, 0, 2,
+        6, 1, 1, 5, 2, 2, 0, 3, 0, 3, 6, 4, 0, 4, 2, 5, 3,
+        1, 6, 6, 1, 2, 6, 4, 6, 5, 1, 0, 2, 3, 5, 5, 0, 2}},
+      {"first-touch",
+       {5, 1, 6, 5, 2, 2, 6, 0, 5, 2, 3, 0, 5, 6, 0, 1, 2,
+        2, 4, 0, 2, 6, 6, 0, 3, 2, 6, 5, 5, 2, 2, 0, 5, 5,
+        6, 5, 1, 6, 0, 0, 5, 6, 0, 1, 2, 3, 4, 5, 2, 0, 1}},
+      {"profile-greedy",
+       {5, 1, 6, 5, 2, 2, 0, 0, 5, 2, 3, 0, 2, 6, 0, 1, 2,
+        2, 4, 0, 2, 6, 6, 0, 3, 2, 6, 5, 5, 2, 2, 0, 5, 5,
+        6, 5, 1, 6, 0, 0, 5, 6, 0, 1, 2, 3, 4, 5, 2, 0, 1}},
+  };
+  for (const auto& [scheme, homes] : pinned) {
+    const auto p = make_placement(scheme, ts, 7);
+    ASSERT_NE(p, nullptr) << scheme;
+    ASSERT_EQ(homes.size(), blocks.size());
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      EXPECT_EQ(p->home_of_block(blocks[i]), homes[i])
+          << scheme << " block " << blocks[i];
+    }
+  }
 }
 
 }  // namespace
