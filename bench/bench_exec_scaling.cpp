@@ -58,7 +58,7 @@ RunResult run_once(em2::SchedulerKind sched, em2::MemArch arch,
                    std::int32_t blocks, em2::Cycle max_cycles) {
   const em2::Mesh mesh = em2::Mesh::near_square(cores);
   const em2::CostModel cost(mesh, em2::CostModelParams{});
-  em2::StripedPlacement placement(mesh.num_cores());
+  em2::Placement placement = em2::Placement::striped(mesh.num_cores());
   em2::ExecParams params;
   params.arch = arch;
   params.scheduler = sched;

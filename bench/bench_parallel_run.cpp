@@ -145,7 +145,7 @@ RunResult run_once(const BenchConfig& cfg, std::uint32_t shards,
                    em2::Cycle skew) {
   const em2::Mesh mesh = em2::Mesh::near_square(cfg.cores);
   const em2::CostModel cost(mesh, em2::CostModelParams{});
-  em2::StripedPlacement placement(mesh.num_cores());
+  em2::Placement placement = em2::Placement::striped(mesh.num_cores());
   em2::ExecParams params;
   params.arch = cfg.arch;
   params.ra_policy = cfg.policy;

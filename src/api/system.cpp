@@ -168,7 +168,7 @@ std::shared_ptr<const Placement> System::placement_for(
                 static_cast<const void*>(traces.get()));
   const std::string key = scheme + "|" + ptr_key;
   return placement_cache_.get_or_build(key, traces, [&] {
-    return build_placement(scheme, MemoryTraceSource(*traces));
+    return build_placement(scheme, *traces);
   });
 }
 
@@ -187,12 +187,8 @@ RunReport System::run(const workload::Workload& workload,
   validate(spec);
   const std::shared_ptr<const Placement> placement =
       placement_for(workload, spec);
-  return run_with_placement(MemoryTraceSource(workload.traces()), spec,
+  return run_with_placement(workload.traces(), spec,
                             *placement, &workload);
-}
-
-RunReport System::run(const TraceSet& traces, const RunSpec& spec) const {
-  return run(MemoryTraceSource(traces), spec);
 }
 
 RunReport System::run(const TraceSource& traces,

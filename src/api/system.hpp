@@ -297,16 +297,13 @@ class System {
   RunReport run(const workload::Workload& workload,
                 const RunSpec& spec = {}) const;
 
-  /// Same over a raw TraceSet (no name, no placement caching).  Exec mode
-  /// compiles the traces into replay programs on the fly.
-  RunReport run(const TraceSet& traces, const RunSpec& spec = {}) const;
-
-  /// Same over any TraceSource — the out-of-core entry point: an on-disk
-  /// TraceStream runs the trace-mode engines under spec.stream_window
+  /// Same over any TraceSource, with no name and no placement caching.
+  /// An in-memory TraceSet runs as-is; exec mode compiles it into replay
+  /// programs on the fly.  An on-disk TraceStream is the out-of-core
+  /// entry point: the trace-mode engines run under spec.stream_window
   /// bytes of resident trace memory, with a report byte-identical to the
   /// same trace run in memory (one engine loop serves both).  Exec and
-  /// optimal modes need the whole trace and materialize a sourced stream
-  /// first (in-memory sources are used as-is).
+  /// optimal modes need the whole trace and materialize a stream first.
   RunReport run(const TraceSource& traces, const RunSpec& spec = {}) const;
 
   /// The full workloads x specs grid, fanned out over the parallel sweep

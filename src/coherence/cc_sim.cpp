@@ -44,11 +44,4 @@ CcRunReport run_cc(const TraceSource& traces, const Placement& placement,
   return report;
 }
 
-CcRunReport run_cc(const TraceSet& traces, const Placement& placement,
-                   const Mesh& mesh, const CostModel& cost,
-                   const DirCcParams& params, TrafficRecorder* recorder) {
-  return run_cc(MemoryTraceSource(traces), placement, mesh, cost, params,
-                recorder);
-}
-
 }  // namespace em2

@@ -10,7 +10,6 @@
 
 #include "coherence/directory.hpp"
 #include "placement/placement.hpp"
-#include "trace/stream/source.hpp"
 #include "trace/trace.hpp"
 
 namespace em2 {
@@ -35,12 +34,6 @@ struct CcRunReport {
 /// every protocol message as a packet for the contention calibration
 /// pass.
 CcRunReport run_cc(const TraceSource& traces, const Placement& placement,
-                   const Mesh& mesh, const CostModel& cost,
-                   const DirCcParams& params,
-                   TrafficRecorder* recorder = nullptr);
-
-/// Convenience wrapper over an in-memory TraceSet.
-CcRunReport run_cc(const TraceSet& traces, const Placement& placement,
                    const Mesh& mesh, const CostModel& cost,
                    const DirCcParams& params,
                    TrafficRecorder* recorder = nullptr);

@@ -47,11 +47,6 @@ std::unordered_set<Addr> replicable_blocks(const TraceSource& traces,
   return result;
 }
 
-std::unordered_set<Addr> replicable_blocks(const TraceSet& traces,
-                                           std::uint32_t max_writes) {
-  return replicable_blocks(MemoryTraceSource(traces), max_writes);
-}
-
 Em2RunReport run_em2_replicated(
     const TraceSource& traces, const Placement& placement, const Mesh& mesh,
     const CostModel& cost, const Em2Params& params,
@@ -105,15 +100,6 @@ Em2RunReport run_em2_replicated(
     report.counters.merge(extra);
   }
   return report;
-}
-
-Em2RunReport run_em2_replicated(
-    const TraceSet& traces, const Placement& placement, const Mesh& mesh,
-    const CostModel& cost, const Em2Params& params,
-    const std::unordered_set<Addr>& replicable,
-    TrafficRecorder* recorder) {
-  return run_em2_replicated(MemoryTraceSource(traces), placement, mesh,
-                            cost, params, replicable, recorder);
 }
 
 }  // namespace em2

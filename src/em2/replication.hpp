@@ -28,12 +28,10 @@ namespace em2 {
 /// written only by its initialization; a block smaller than a word is
 /// disqualified with the word).  Write-once-then-read
 /// data — lookup tables, program constants — classifies as replicable;
-/// anything iteratively updated does not.  The TraceSource form streams
-/// the trace twice through fresh cursors (profile, then collect), so the
-/// classification also runs out-of-core.
+/// anything iteratively updated does not.  The trace streams twice
+/// through fresh cursors (profile, then collect), so the classification
+/// also runs out-of-core.
 std::unordered_set<Addr> replicable_blocks(const TraceSource& traces,
-                                           std::uint32_t max_writes = 1);
-std::unordered_set<Addr> replicable_blocks(const TraceSet& traces,
                                            std::uint32_t max_writes = 1);
 
 /// run_em2 with read-only replication: reads of blocks in `replicable`
@@ -42,11 +40,6 @@ std::unordered_set<Addr> replicable_blocks(const TraceSet& traces,
 /// "replicated_reads" counter.
 Em2RunReport run_em2_replicated(
     const TraceSource& traces, const Placement& placement, const Mesh& mesh,
-    const CostModel& cost, const Em2Params& params,
-    const std::unordered_set<Addr>& replicable,
-    TrafficRecorder* recorder = nullptr);
-Em2RunReport run_em2_replicated(
-    const TraceSet& traces, const Placement& placement, const Mesh& mesh,
     const CostModel& cost, const Em2Params& params,
     const std::unordered_set<Addr>& replicable,
     TrafficRecorder* recorder = nullptr);

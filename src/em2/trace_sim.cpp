@@ -33,12 +33,4 @@ Em2RunReport run_em2(const TraceSource& traces, const Placement& placement,
       });
 }
 
-Em2RunReport run_em2(const TraceSet& traces, const Placement& placement,
-                     const Mesh& mesh, const CostModel& cost,
-                     const Em2Params& params, TrafficRecorder* recorder,
-                     FaultInjector* faults) {
-  return run_em2(MemoryTraceSource(traces), placement, mesh, cost, params,
-                 recorder, faults);
-}
-
 }  // namespace em2

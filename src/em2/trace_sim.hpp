@@ -11,7 +11,6 @@
 #include "noc/cost_model.hpp"
 #include "placement/placement.hpp"
 #include "trace/run_length.hpp"
-#include "trace/stream/source.hpp"
 #include "trace/trace.hpp"
 #include "util/stats.hpp"
 
@@ -54,13 +53,6 @@ struct Em2RunReport {
 /// index) and homes are remapped around failed cores; null stays
 /// bit-identical to before fault injection existed.
 Em2RunReport run_em2(const TraceSource& traces, const Placement& placement,
-                     const Mesh& mesh, const CostModel& cost,
-                     const Em2Params& params,
-                     TrafficRecorder* recorder = nullptr,
-                     FaultInjector* faults = nullptr);
-
-/// Convenience wrapper over an in-memory TraceSet.
-Em2RunReport run_em2(const TraceSet& traces, const Placement& placement,
                      const Mesh& mesh, const CostModel& cost,
                      const Em2Params& params,
                      TrafficRecorder* recorder = nullptr,

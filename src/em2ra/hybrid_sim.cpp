@@ -60,14 +60,6 @@ HybridRunReport run_em2ra(const TraceSource& traces,
   });
 }
 
-HybridRunReport run_em2ra(const TraceSet& traces, const Placement& placement,
-                          const Mesh& mesh, const CostModel& cost,
-                          const Em2Params& params, StandardPolicy& policy,
-                          TrafficRecorder* recorder, FaultInjector* faults) {
-  return run_em2ra(MemoryTraceSource(traces), placement, mesh, cost, params,
-                   policy, recorder, faults);
-}
-
 HybridRunReport run_em2ra(const TraceSource& traces,
                           const Placement& placement, const Mesh& mesh,
                           const CostModel& cost, const Em2Params& params,
@@ -75,14 +67,6 @@ HybridRunReport run_em2ra(const TraceSource& traces,
                           FaultInjector* faults) {
   return run_em2ra_impl(traces, placement, mesh, cost, params, policy,
                         recorder, faults);
-}
-
-HybridRunReport run_em2ra(const TraceSet& traces, const Placement& placement,
-                          const Mesh& mesh, const CostModel& cost,
-                          const Em2Params& params, DecisionPolicy& policy,
-                          TrafficRecorder* recorder, FaultInjector* faults) {
-  return run_em2ra(MemoryTraceSource(traces), placement, mesh, cost, params,
-                   policy, recorder, faults);
 }
 
 }  // namespace em2

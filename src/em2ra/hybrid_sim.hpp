@@ -41,11 +41,6 @@ HybridRunReport run_em2ra(const TraceSource& traces,
                           StandardPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
                           FaultInjector* faults = nullptr);
-HybridRunReport run_em2ra(const TraceSet& traces, const Placement& placement,
-                          const Mesh& mesh, const CostModel& cost,
-                          const Em2Params& params, StandardPolicy& policy,
-                          TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr);
 
 /// Same, always through the virtual DecisionPolicy interface — the
 /// dispatch the sealed path is diffed against (bit-identical reports,
@@ -55,11 +50,6 @@ HybridRunReport run_em2ra(const TraceSource& traces,
                           const Placement& placement, const Mesh& mesh,
                           const CostModel& cost, const Em2Params& params,
                           DecisionPolicy& policy,
-                          TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr);
-HybridRunReport run_em2ra(const TraceSet& traces, const Placement& placement,
-                          const Mesh& mesh, const CostModel& cost,
-                          const Em2Params& params, DecisionPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
                           FaultInjector* faults = nullptr);
 

@@ -7,7 +7,7 @@
 // uses first-touch placement; we provide that plus ablation alternatives.
 //
 // Placement operates on *blocks* (cache lines): block = addr >> log2(block
-// size), matching TraceSet::block_of.
+// size), matching TraceSource::block_of.
 #pragma once
 
 #include <array>
@@ -16,80 +16,104 @@
 #include <string>
 #include <vector>
 
-#include "trace/stream/source.hpp"
 #include "trace/trace.hpp"
 #include "util/page_table.hpp"
 #include "util/types.hpp"
 
 namespace em2 {
 
-/// Abstract address-to-home-core map.
-class Placement {
- public:
-  virtual ~Placement() = default;
-
-  /// Home core of placement block `block` (NOT a byte address).
-  virtual CoreId home_of_block(Addr block) const = 0;
-
-  /// Short scheme name for reports ("first-touch", "striped", ...).
-  virtual std::string name() const = 0;
-
-  /// Convenience: home core of byte address `addr` for a given block size
-  /// bookkeeping object.
-  CoreId home_of(Addr addr, const TraceSet& traces) const {
-    return home_of_block(traces.block_of(addr));
-  }
-};
-
-/// Blocks striped round-robin across cores: block b -> b mod P.
-/// The placement-oblivious baseline: spreads load but ignores locality.
-class StripedPlacement final : public Placement {
- public:
-  explicit StripedPlacement(std::int32_t num_cores);
-  CoreId home_of_block(Addr block) const override;
-  std::string name() const override { return "striped"; }
-
- private:
-  std::int32_t num_cores_;
-};
-
-/// Blocks placed by a splitmix64 hash of the block index: destroys both
-/// locality and structure (worst reasonable placement; used as the "bad
-/// placement" pole in ablations).
-class HashedPlacement final : public Placement {
- public:
-  HashedPlacement(std::int32_t num_cores, std::uint64_t salt = 0);
-  CoreId home_of_block(Addr block) const override;
-  std::string name() const override { return "hashed"; }
-
- private:
-  std::int32_t num_cores_;
-  std::uint64_t salt_;
-};
-
-/// An explicit block -> core table with a fallback for unmapped blocks.
-/// Base class for trace-derived placements; also usable directly.
+/// The address-to-home-core map: a table of explicit block homes over a
+/// fallback rule for the blocks the table leaves unassigned.  Every
+/// scheme is one of these.  Striped and hashed are an empty table over
+/// their fallback; first-touch and profile-greedy fill the table from a
+/// trace and fall back to striping.
 ///
 /// The table is a flat PageTable of 16 homes per page (kNoCore =
-/// unassigned), so a lookup of an assigned block is one multiply, one
-/// slot read and one page read.
-class TablePlacement : public Placement {
+/// unassigned), so the inline lookup every trace engine makes per access
+/// is one multiply, one slot read and one page read.
+class Placement {
  public:
-  explicit TablePlacement(std::int32_t num_cores);
+  /// Home rule for blocks with no table entry.
+  enum class Fallback : std::uint8_t {
+    /// Block b -> b mod P.  The placement-oblivious baseline: spreads
+    /// load but ignores locality.
+    kStriped,
+    /// Block b -> splitmix64(b) mod P.  Destroys both locality and
+    /// structure: the worst reasonable placement, the "bad placement"
+    /// pole in ablations.
+    kHashed,
+  };
 
-  CoreId home_of_block(Addr block) const override;
-  std::string name() const override { return "table"; }
+  /// An empty table over striping, named "table"; fill it with assign().
+  explicit Placement(std::int32_t num_cores)
+      : Placement(num_cores, Fallback::kStriped, "table") {}
+
+  /// Blocks striped round-robin across cores ("striped").
+  static Placement striped(std::int32_t num_cores) {
+    return {num_cores, Fallback::kStriped, "striped"};
+  }
+  /// Blocks placed by a hash of the block index ("hashed").
+  static Placement hashed(std::int32_t num_cores) {
+    return {num_cores, Fallback::kHashed, "hashed"};
+  }
+
+  /// First-touch placement — what the paper's evaluation uses.  The
+  /// first thread to touch a block becomes its home (at that thread's
+  /// native core).  "First" is defined by the round-robin interleave the
+  /// trace-mode engines replay (trace/round_robin.hpp): one access per
+  /// thread per round, so within a round the lower thread id touches
+  /// first.  This mirrors how first-touch behaves when all threads start
+  /// together, and makes runs reproducible.
+  static Placement first_touch(const TraceSource& traces,
+                               std::int32_t num_cores);
+
+  /// Profile-greedy placement: each block goes to the native core of the
+  /// thread that accesses it most (ties to the lower core id).  The
+  /// strongest static placement a profile-driven system could pick, used
+  /// as the "good placement" pole in ablations.
+  static Placement profile_greedy(const TraceSource& traces,
+                                  std::int32_t num_cores);
+
+  /// Home core of placement block `block` (NOT a byte address).
+  CoreId home_of_block(Addr block) const {
+    if (const HomePage* page = table_.find(block >> 4)) {
+      if (const CoreId home = page->core[block & 15]; home != kNoCore) {
+        return home;
+      }
+    }
+    const Addr key = fallback_ == Fallback::kHashed ? splitmix64(block)
+                                                    : block;
+    return static_cast<CoreId>(key %
+                               static_cast<std::uint64_t>(num_cores_));
+  }
+
+  /// Short scheme name for reports ("first-touch", "striped", ...).
+  const std::string& name() const noexcept { return name_; }
 
   /// Assigns (or reassigns) a block's home.
   void assign(Addr block, CoreId home);
 
-  /// Blocks with no explicit assignment fall back to striping.
+  /// Blocks with an explicit table entry.
   std::size_t assigned_blocks() const noexcept { return assigned_; }
 
   /// Per-core count of assigned blocks (placement balance metric).
   std::vector<std::uint64_t> blocks_per_core() const;
 
- protected:
+ private:
+  struct HomePage {
+    HomePage() { core.fill(kNoCore); }
+    std::array<CoreId, 16> core;
+  };
+
+  Placement(std::int32_t num_cores, Fallback fallback, std::string name);
+
+  static std::uint64_t splitmix64(std::uint64_t x) noexcept {
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+
   /// The home of `block`, kNoCore while unassigned.  Whoever stores a
   /// home into a kNoCore cell bumps assigned_.  The reference is valid
   /// until the next home_cell call.
@@ -98,41 +122,10 @@ class TablePlacement : public Placement {
   }
 
   std::int32_t num_cores_;
+  Fallback fallback_;
   std::size_t assigned_ = 0;
-
- private:
-  struct HomePage {
-    HomePage() { core.fill(kNoCore); }
-    std::array<CoreId, 16> core;
-  };
   PageTable<HomePage> table_;
-};
-
-/// First-touch placement — what the paper's evaluation uses.  The first
-/// thread to touch a block becomes its home (at that thread's native
-/// core).  "First" is defined by the round-robin interleave the trace-mode
-/// engines replay (trace/round_robin.hpp): one access per thread per
-/// round, so within a round the lower thread id touches first.  This
-/// mirrors how first-touch behaves when all threads start together, and
-/// makes runs reproducible.
-class FirstTouchPlacement final : public TablePlacement {
- public:
-  FirstTouchPlacement(const TraceSource& traces, std::int32_t num_cores);
-  FirstTouchPlacement(const TraceSet& traces, std::int32_t num_cores)
-      : FirstTouchPlacement(MemoryTraceSource(traces), num_cores) {}
-  std::string name() const override { return "first-touch"; }
-};
-
-/// Profile-greedy placement: each block goes to the native core of the
-/// thread that accesses it most (ties to the lower core id).  This is the
-/// strongest static placement a profile-driven system could pick, used as
-/// the "good placement" pole in ablations.
-class ProfileGreedyPlacement final : public TablePlacement {
- public:
-  ProfileGreedyPlacement(const TraceSource& traces, std::int32_t num_cores);
-  ProfileGreedyPlacement(const TraceSet& traces, std::int32_t num_cores)
-      : ProfileGreedyPlacement(MemoryTraceSource(traces), num_cores) {}
-  std::string name() const override { return "profile-greedy"; }
+  std::string name_;
 };
 
 /// Computes the per-access home-core sequence d(m_1..m_N) for a thread —
@@ -142,14 +135,11 @@ std::vector<CoreId> home_sequence(const ThreadTrace& thread,
                                   const Placement& placement);
 
 /// Factory by name ("striped" | "hashed" | "first-touch" |
-/// "profile-greedy"); returns nullptr for unknown names.  The
-/// TraceSource form streams the trace through cursors, so trace-derived
-/// schemes also build out-of-core.
+/// "profile-greedy"); returns nullptr for unknown names.  Trace-derived
+/// schemes stream the trace through cursors, so they also build
+/// out-of-core.
 std::unique_ptr<Placement> make_placement(const std::string& scheme,
                                           const TraceSource& traces,
-                                          std::int32_t num_cores);
-std::unique_ptr<Placement> make_placement(const std::string& scheme,
-                                          const TraceSet& traces,
                                           std::int32_t num_cores);
 
 /// The scheme names make_placement understands, for CLI help and

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "noc/traffic.hpp"
-#include "trace/stream/source.hpp"
+#include "trace/trace.hpp"
 
 namespace em2 {
 

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "trace/stream/reader.hpp"
-#include "trace/stream/source.hpp"
 #include "trace/stream/writer.hpp"
 #include "trace/trace.hpp"
 
@@ -26,9 +25,8 @@ bool write_trace_stream(const std::string& path, const TraceSet& traces,
 TraceSet read_trace_stream(const std::string& path,
                            const TraceStream::Options& opts = {});
 
-/// Drains `source` into an in-memory TraceSet.  When the source is an
-/// in-memory view its backing set is copied directly; a streamed source
-/// is decoded through its cursors.
+/// Drains `source` into an in-memory TraceSet.  A TraceSet source is
+/// copied directly; a streamed source is decoded through its cursors.
 TraceSet materialize(const TraceSource& source);
 
 /// True when both sets have identical geometry, natives, and per-thread

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "trace/stream/format.hpp"
-#include "trace/stream/source.hpp"
+#include "trace/trace.hpp"
 
 namespace em2 {
 

@@ -6,17 +6,39 @@
 #include "util/assert.hpp"
 
 namespace em2 {
+namespace {
 
-TraceSet::TraceSet(std::uint32_t block_bytes) : block_bytes_(block_bytes) {
+/// The whole thread is one batch: next() never leaves the inline fast
+/// path until the stream ends.
+class MemoryCursor final : public AccessCursor {
+ public:
+  explicit MemoryCursor(std::span<const Access> accesses) {
+    cur_ = accesses.data();
+    end_ = accesses.data() + accesses.size();
+  }
+
+ protected:
+  void refill() override {}  // one batch; nothing more to load
+};
+
+}  // namespace
+
+TraceSet::TraceSet(std::uint32_t block_bytes) {
   EM2_ASSERT(block_bytes >= 1 && std::has_single_bit(block_bytes),
              "block size must be a power of two");
-  block_shift_ = static_cast<std::uint32_t>(std::countr_zero(block_bytes));
+  init_geometry(0, block_bytes);
 }
 
 void TraceSet::add_thread(ThreadTrace trace) {
   EM2_ASSERT(trace.thread() == static_cast<ThreadId>(threads_.size()),
              "thread traces must be added in dense id order");
   threads_.push_back(std::move(trace));
+  init_geometry(threads_.size(), block_bytes());
+}
+
+std::unique_ptr<AccessCursor> TraceSet::make_cursor(
+    std::size_t thread) const {
+  return std::make_unique<MemoryCursor>(threads_[thread].accesses());
 }
 
 std::uint64_t TraceSet::total_accesses() const noexcept {

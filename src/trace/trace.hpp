@@ -6,9 +6,21 @@
 // kind, byte address, and the number of non-memory instructions executed
 // since the previous access (used by the execution-driven simulator for
 // timing, and by cost accounting for instructions executed at remote cores).
+//
+// The trace-mode engines do not need the full trace: they consume each
+// thread's accesses in program order, one per round-robin turn of the
+// trace driver (trace/round_robin.hpp).  TraceSource captures exactly that
+// contract — per-thread metadata plus a forward AccessCursor — and has two
+// implementations: TraceSet itself (zero-copy cursors over its vectors)
+// and the on-disk EM2S reader TraceStream (trace/stream/reader.hpp,
+// bounded-memory batches).  One driver serves both, so streamed and
+// in-memory runs are the same code path and their reports are
+// byte-identical by construction.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,39 +73,153 @@ class ThreadTrace {
   std::vector<Access> accesses_;
 };
 
-/// A whole-application trace: one ThreadTrace per thread, plus the block
-/// (cache-line) size that placement operates on.
-class TraceSet {
+/// Forward iterator over one thread's accesses.  next() is non-virtual
+/// and inlines to a pointer bump in the common case; implementations only
+/// pay an indirect call per exhausted batch (refill), so the in-memory
+/// path costs the same as indexing the ThreadTrace vector directly.
+class AccessCursor {
+ public:
+  virtual ~AccessCursor() = default;
+  AccessCursor(const AccessCursor&) = delete;
+  AccessCursor& operator=(const AccessCursor&) = delete;
+
+  /// The next access in program order, or nullptr at end of stream.  The
+  /// pointee stays valid until the next next() call on this cursor.
+  EM2_ALWAYS_INLINE const Access* next() {
+    if (cur_ != end_) {
+      return cur_++;
+    }
+    return advance();
+  }
+
+ protected:
+  AccessCursor() = default;
+
+  /// Loads the next non-empty batch into [cur_, end_); leaves them equal
+  /// at end of stream.  May throw (e.g. TraceFormatError on a corrupt
+  /// chunk).
+  virtual void refill() = 0;
+
+  const Access* cur_ = nullptr;
+  const Access* end_ = nullptr;
+
+ private:
+  EM2_NOINLINE const Access* advance() {
+    if (done_) {
+      return nullptr;
+    }
+    refill();
+    if (cur_ == end_) {
+      done_ = true;
+      return nullptr;
+    }
+    return cur_++;
+  }
+
+  bool done_ = false;
+};
+
+class TraceSet;
+
+/// An application trace the engines can run: per-thread natives and
+/// cursors plus the block geometry placement operates on.
+class TraceSource {
+ public:
+  virtual ~TraceSource() = default;
+
+  std::size_t num_threads() const noexcept { return num_threads_; }
+
+  /// Cache-line size used to map byte addresses to placement blocks.
+  /// A power of two.
+  std::uint32_t block_bytes() const noexcept { return block_bytes_; }
+
+  /// Maps a byte address to its placement block (line) index.
+  Addr block_of(Addr addr) const noexcept { return addr >> block_shift_; }
+
+  virtual CoreId native_core(std::size_t thread) const = 0;
+
+  /// Total access count across all threads.
+  virtual std::uint64_t total_accesses() const = 0;
+
+  /// A fresh cursor at the start of `thread`'s stream.  Cursors are
+  /// independent: a source must support any number of them, concurrently
+  /// (each engine run opens its own set).
+  virtual std::unique_ptr<AccessCursor> make_cursor(
+      std::size_t thread) const = 0;
+
+  /// The source itself when it is an in-memory TraceSet, else nullptr.
+  /// Exec and optimal modes need the whole trace (program compilation /
+  /// DP over full sequences); a streamed source is materialized for them
+  /// instead.
+  virtual const TraceSet* backing_traces() const { return nullptr; }
+
+  /// Applies a total resident-memory budget in bytes for this source's
+  /// read-side buffers (0 = unlimited).  In-memory sources ignore it;
+  /// TraceStream divides it across per-thread cursors and throws
+  /// std::invalid_argument below min_stream_window().  Const because the
+  /// budget is a read-side tuning knob, not trace content — RunSpec
+  /// carries it per run.
+  virtual void set_stream_window(std::uint64_t bytes) const {
+    (void)bytes;
+  }
+  /// Smallest accepted non-zero stream window (0 for in-memory sources).
+  virtual std::uint64_t min_stream_window() const { return 0; }
+
+  /// Reader-buffer accounting: bytes currently resident / high-water
+  /// mark.  The bounded-memory acceptance tests assert peak <= window
+  /// against these numbers.  Always 0 for in-memory sources (the trace
+  /// itself is the caller's allocation, not the reader's).
+  virtual std::uint64_t resident_trace_bytes() const { return 0; }
+  virtual std::uint64_t peak_resident_trace_bytes() const { return 0; }
+
+ protected:
+  TraceSource() = default;
+  TraceSource(const TraceSource&) = default;
+  TraceSource& operator=(const TraceSource&) = default;
+
+  /// Sets the geometry; for implementations that learn it after
+  /// construction (a file header, a growing TraceSet).  `block_bytes`
+  /// must be a power of two.
+  void init_geometry(std::size_t num_threads, std::uint32_t block_bytes) {
+    num_threads_ = num_threads;
+    block_bytes_ = block_bytes;
+    block_shift_ =
+        static_cast<std::uint32_t>(std::countr_zero(block_bytes));
+  }
+
+ private:
+  std::size_t num_threads_ = 0;
+  std::uint32_t block_bytes_ = 64;
+  std::uint32_t block_shift_ = 6;
+};
+
+/// A whole-application trace in memory: one ThreadTrace per thread, plus
+/// the block (cache-line) size that placement operates on.  As a
+/// TraceSource its cursors walk the thread vectors in place.
+class TraceSet final : public TraceSource {
  public:
   explicit TraceSet(std::uint32_t block_bytes = 64);
 
   /// Adds a thread trace; thread ids must be dense and added in order.
   void add_thread(ThreadTrace trace);
 
-  std::size_t num_threads() const noexcept { return threads_.size(); }
   const ThreadTrace& thread(std::size_t i) const noexcept {
     return threads_[i];
   }
   std::span<const ThreadTrace> threads() const noexcept { return threads_; }
 
-  /// Cache-line size used to map byte addresses to placement blocks.
-  /// Must be a power of two.
-  std::uint32_t block_bytes() const noexcept { return block_bytes_; }
-
-  /// Maps a byte address to its placement block (line) index.
-  Addr block_of(Addr addr) const noexcept {
-    return addr >> block_shift_;
+  CoreId native_core(std::size_t thread) const override {
+    return threads_[thread].native_core();
   }
-
-  /// Total access count across all threads.
-  std::uint64_t total_accesses() const noexcept;
+  std::uint64_t total_accesses() const noexcept override;
+  std::unique_ptr<AccessCursor> make_cursor(
+      std::size_t thread) const override;
+  const TraceSet* backing_traces() const override { return this; }
 
   /// All distinct blocks touched, sorted ascending.
   std::vector<Addr> touched_blocks() const;
 
  private:
-  std::uint32_t block_bytes_;
-  std::uint32_t block_shift_;
   std::vector<ThreadTrace> threads_;
 };
 

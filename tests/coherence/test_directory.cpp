@@ -17,7 +17,7 @@ namespace {
 struct CcFixture {
   Mesh mesh{4, 4};
   CostModel cost{mesh, CostModelParams{}};
-  StripedPlacement placement{16};
+  Placement placement = Placement::striped(16);
   DirCcParams params{};
   DirectoryCC cc{mesh, cost, params, placement};
 };
@@ -190,7 +190,7 @@ TEST(DirectoryCC, InvalidatesSharersInCoreOrder) {
 TEST(DirectoryCC, FullMapAt1024Cores) {
   const Mesh mesh{32, 32};
   const CostModel cost{mesh, CostModelParams{}};
-  const StripedPlacement placement{1024};
+  const Placement placement = Placement::striped(1024);
   DirCcParams params;
   params.private_cache = CacheParams{128, 2, 64};  // one set, two ways
   DirectoryCC cc{mesh, cost, params, placement};
@@ -427,7 +427,7 @@ TEST_P(DirectoryDifferential, MatchesSortedVectorReference) {
   const DirDiffCase& dc = GetParam();
   const Mesh mesh{dc.width, dc.height};
   const CostModel cost{mesh, CostModelParams{}};
-  const StripedPlacement placement{mesh.num_cores()};
+  const Placement placement = Placement::striped(mesh.num_cores());
   DirCcParams params;
   params.private_cache = CacheParams{4 * 2 * 64, 2, 64};  // 4 sets x 2 ways
   for (const std::uint64_t seed : {1ull, 2ull}) {

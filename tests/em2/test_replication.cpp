@@ -84,7 +84,7 @@ TEST(Replication, TableLookupMigrationsCollapse) {
   const TraceSet ts = workload::make_table_lookup(p);
   const Mesh mesh(4, 4);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 16);
+  Placement placement = Placement::first_touch(ts, 16);
   const auto replicable = replicable_blocks(ts, 1);
 
   const Em2RunReport base =
@@ -105,7 +105,7 @@ TEST(Replication, AccessCountsConserved) {
   const TraceSet ts = workload::make_table_lookup(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 8);
+  Placement placement = Placement::first_touch(ts, 8);
   const auto replicable = replicable_blocks(ts, 1);
   const Em2RunReport repl = run_em2_replicated(
       ts, placement, mesh, cost, Em2Params{}, replicable);
@@ -120,7 +120,7 @@ TEST(Replication, WriteHeavyWorkloadSeesNoBenefit) {
   const TraceSet ts = workload::make_producer_consumer(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 8);
+  Placement placement = Placement::first_touch(ts, 8);
   const auto replicable = replicable_blocks(ts, 1);
   const Em2RunReport base =
       run_em2(ts, placement, mesh, cost, Em2Params{});
@@ -139,7 +139,7 @@ TEST(Replication, EmptyReplicableSetMatchesPlainEm2) {
   const TraceSet ts = workload::make_sharing_mix(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 8);
+  Placement placement = Placement::first_touch(ts, 8);
   const Em2RunReport base =
       run_em2(ts, placement, mesh, cost, Em2Params{});
   const Em2RunReport repl = run_em2_replicated(

@@ -26,7 +26,7 @@ TEST(TraceSim, PingPongMigratesEveryOtherAccess) {
   const TraceSet ts = ping_pong_traces();
   const Mesh mesh(2, 1);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(2);
+  Placement placement = Placement::striped(2);
   const Em2RunReport r = run_em2(ts, placement, mesh, cost, Em2Params{});
   // Thread 0: 16 accesses alternating homes starting at home 0 — the
   // first access is local, every later access changes home: 15 moves.
@@ -40,7 +40,7 @@ TEST(TraceSim, RunLengthReportMatchesStandalone) {
   const TraceSet ts = ping_pong_traces();
   const Mesh mesh(2, 1);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(2);
+  Placement placement = Placement::striped(2);
   const Em2RunReport r = run_em2(ts, placement, mesh, cost, Em2Params{});
   // Thread 0's 8 visits to core 1 are all run-length-1; all but the
   // final one (which has no successor access) return home.
@@ -55,7 +55,7 @@ TEST(TraceSim, PerThreadCostsSumToTotal) {
   const TraceSet ts = workload::make_sharing_mix(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, mesh.num_cores());
+  Placement placement = Placement::first_touch(ts, mesh.num_cores());
   const Em2RunReport r = run_em2(ts, placement, mesh, cost, Em2Params{});
   Cost sum = 0;
   for (const Cost c : r.per_thread_cost) {
@@ -71,7 +71,7 @@ TEST(TraceSim, DeterministicAcrossRuns) {
   const TraceSet ts = workload::make_sharing_mix(p);
   const Mesh mesh(2, 2);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, 4);
+  Placement placement = Placement::first_touch(ts, 4);
   const Em2RunReport a = run_em2(ts, placement, mesh, cost, Em2Params{});
   const Em2RunReport b = run_em2(ts, placement, mesh, cost, Em2Params{});
   EXPECT_EQ(a.total_thread_cost, b.total_thread_cost);
@@ -87,7 +87,7 @@ TEST(TraceSim, MoreGuestContextsMeanFewerEvictions) {
   const TraceSet ts = workload::make_hotspot(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, mesh.num_cores());
+  Placement placement = Placement::first_touch(ts, mesh.num_cores());
   Em2Params small;
   small.guest_contexts = 1;
   Em2Params large;
@@ -102,7 +102,7 @@ TEST(TraceSim, VnetBitsOnlyOnMigrationNetworks) {
   const TraceSet ts = ping_pong_traces();
   const Mesh mesh(2, 1);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(2);
+  Placement placement = Placement::striped(2);
   const Em2RunReport r = run_em2(ts, placement, mesh, cost, Em2Params{});
   EXPECT_GT(r.vnet_bits[vnet::kMigrationGuest], 0u);
   EXPECT_GT(r.vnet_bits[vnet::kMigrationNative], 0u);

@@ -82,7 +82,7 @@ TEST(HybridSim, AlwaysMigrateReproducesPureEm2) {
   const TraceSet ts = workload::make_geometric_runs(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, mesh.num_cores());
+  Placement placement = Placement::first_touch(ts, mesh.num_cores());
 
   AlwaysMigratePolicy policy;
   const HybridRunReport hybrid =
@@ -102,7 +102,7 @@ TEST(HybridSim, AlwaysRemoteNeverMigrates) {
   const TraceSet ts = workload::make_geometric_runs(p);
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, mesh.num_cores());
+  Placement placement = Placement::first_touch(ts, mesh.num_cores());
   AlwaysRemotePolicy policy;
   const HybridRunReport r =
       run_em2ra(ts, placement, mesh, cost, Em2Params{}, policy);
@@ -145,7 +145,7 @@ TEST(HybridSim, HybridBeatsBothPolesOnBimodalRuns) {
   }
   const Mesh mesh = Mesh::near_square(threads);
   const CostModel cost(mesh, CostModelParams{});
-  FirstTouchPlacement placement(ts, mesh.num_cores());
+  Placement placement = Placement::first_touch(ts, mesh.num_cores());
 
   AlwaysMigratePolicy mig;
   AlwaysRemotePolicy ra;

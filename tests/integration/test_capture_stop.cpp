@@ -247,7 +247,8 @@ TEST(CaptureEarlyStopReplication, ReplicatedReadsKeepTheSlowestClock) {
   const CostModel cost(mesh, CostModelParams{});
   Em2Params params;
   params.model_caches = true;
-  const StripedPlacement placement(2);  // block b lives on core b % 2
+  // Block b lives on core b % 2.
+  const Placement placement = Placement::striped(2);
   TraceSet ts(64);
   ThreadTrace t0(0, 0);
   for (int i = 0; i < 300; ++i) {

@@ -71,7 +71,7 @@ ExecReport run_workload(MemArch arch, SchedulerKind sched,
                        const WorkloadSpec& spec) {
   const Mesh mesh(spec.mesh_w, spec.mesh_h);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(mesh.num_cores());
+  Placement placement = Placement::striped(mesh.num_cores());
   std::optional<FaultInjector> faults;
   if (!spec.fault_spec.empty()) {
     faults.emplace(fault_spec_from_string(spec.fault_spec),
@@ -224,7 +224,7 @@ TEST(ExecEquivalence, LongStallsSkipToTheSameClock) {
 TEST(ExecScale, Smoke1024Cores) {
   const Mesh mesh(32, 32);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(mesh.num_cores());
+  Placement placement = Placement::striped(mesh.num_cores());
   ExecParams params;
   params.arch = MemArch::kEm2;
   ExecSystem sys(mesh, cost, params, placement);

@@ -30,7 +30,7 @@ class ExecPolicy : public ::testing::TestWithParam<const char*> {};
 TEST_P(ExecPolicy, ConsistentAndCorrect) {
   const Mesh mesh(4, 4);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(16);
+  Placement placement = Placement::striped(16);
   ExecParams params;
   params.arch = MemArch::kEm2Ra;
   params.ra_policy = GetParam();
@@ -58,7 +58,7 @@ TEST(ExecEviction, TightGuestContextsStayCorrect) {
   const Mesh mesh(4, 4);
   const CostModel cost(mesh, CostModelParams{});
   // All data blocks homed at core 5.
-  TablePlacement placement(16);
+  Placement placement(16);
   for (Addr b = 0; b < 4096; ++b) {
     placement.assign(b, 5);
   }
@@ -92,7 +92,7 @@ TEST(ExecEviction, EvictedThreadIsRestalled) {
   // victims' finish times must reflect it (later than uncontended).
   const Mesh mesh(4, 4);
   const CostModel cost(mesh, CostModelParams{});
-  TablePlacement placement(16);
+  Placement placement(16);
   for (Addr b = 0; b < 4096; ++b) {
     placement.assign(b, 10);
   }

@@ -28,7 +28,7 @@ RProgram sum_program(Addr base, int n, Addr result) {
 struct ExecFixture {
   Mesh mesh{4, 4};
   CostModel cost{mesh, CostModelParams{}};
-  StripedPlacement placement{16};
+  Placement placement = Placement::striped(16);
   ExecParams params{};
 };
 
@@ -57,7 +57,7 @@ TEST(ExecSystem, CachedHomesFollowThePlacementAcrossHomePages) {
   // migration count pins every cached home to the placement's answer.
   ExecFixture f;
   f.params.arch = MemArch::kEm2;
-  TablePlacement placement(16);
+  Placement placement(16);
   const Addr base = 0x1000;  // block 64
   std::uint64_t expected_migrations = 0;
   CoreId at = 0;

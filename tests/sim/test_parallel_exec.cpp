@@ -64,7 +64,7 @@ ExecReport run_relaxed(const RelaxedSpec& spec,
                        std::vector<std::uint32_t>* sums = nullptr) {
   const Mesh mesh(spec.mesh_w, spec.mesh_h);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(mesh.num_cores());
+  Placement placement = Placement::striped(mesh.num_cores());
   ExecParams params;
   params.arch = spec.arch;
   params.shards = spec.shards;
@@ -358,7 +358,7 @@ TEST(ThreadBudget, ExactModeShardedRunsShareTheBudgetToo) {
   BudgetGuard guard(kBudget);
   const Mesh mesh(4, 4);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(mesh.num_cores());
+  Placement placement = Placement::striped(mesh.num_cores());
   const auto reports = sweep::run(4, [&](std::size_t i) {
     ExecParams params;
     params.shards = 4;  // skew = 0: the sequential engine

@@ -101,7 +101,7 @@ Outcome run_travellers(MemArch arch, SchedulerKind sched,
                        std::uint32_t shards, const std::string& faults) {
   const Mesh mesh(16, 8);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(mesh.num_cores());
+  Placement placement = Placement::striped(mesh.num_cores());
   std::optional<FaultInjector> injector;
   if (!faults.empty()) {
     injector.emplace(fault_spec_from_string(faults), mesh.num_cores());

@@ -53,7 +53,7 @@ ExecReport run_sharded(const ShardedSpec& spec,
                        std::vector<std::uint32_t>* sums = nullptr) {
   const Mesh mesh(8, 8);
   const CostModel cost(mesh, CostModelParams{});
-  StripedPlacement placement(mesh.num_cores());
+  Placement placement = Placement::striped(mesh.num_cores());
   ExecParams params;
   params.arch = MemArch::kEm2Ra;
   params.ra_policy = spec.policy;

@@ -26,7 +26,7 @@ TraceSet uneven_traces(const std::vector<std::size_t>& lengths) {
 TEST(RoundRobin, OneAccessPerLiveThreadPerRoundInThreadOrder) {
   const TraceSet ts = uneven_traces({3, 0, 1, 2});
   std::vector<std::pair<std::size_t, Addr>> seen;
-  for_each_round_robin(MemoryTraceSource(ts), nullptr,
+  for_each_round_robin(ts, nullptr,
                        [&](std::size_t t, const Access& a) -> Cycle {
                          seen.emplace_back(t, a.addr);
                          return 1;
@@ -47,7 +47,7 @@ TEST(RoundRobin, StampsEachStepsPacketsWithItsPreAccessClock) {
   std::vector<Cycle> want;
   std::vector<std::size_t> index(2, 0);
   for_each_round_robin(
-      MemoryTraceSource(ts), &recorder,
+      ts, &recorder,
       [&](std::size_t t, const Access&) -> Cycle {
         const Cycle took = t + 2;
         const std::size_t i = index[t]++;
@@ -70,7 +70,7 @@ TEST(RoundRobin, StampsEachStepsPacketsWithItsPreAccessClock) {
 std::size_t steps_recorded(TrafficRecorder* recorder) {
   const TraceSet ts = uneven_traces({50, 50, 50, 50});
   std::size_t steps = 0;
-  for_each_round_robin(MemoryTraceSource(ts), recorder,
+  for_each_round_robin(ts, recorder,
                        [&](std::size_t t, const Access&) -> Cycle {
                          ++steps;
                          if (recorder != nullptr) {
@@ -107,7 +107,7 @@ TEST(RoundRobin, FirstTouchGoesByRoundThenThreadId) {
   t1.append(7 * 64, MemOp::kRead);
   ts.add_thread(std::move(t0));
   ts.add_thread(std::move(t1));
-  const FirstTouchPlacement p(ts, 4);
+  const Placement p = Placement::first_touch(ts, 4);
   EXPECT_EQ(p.home_of_block(0), 2);
   EXPECT_EQ(p.home_of_block(5), 3);
   EXPECT_EQ(p.home_of_block(7), 2);

@@ -20,7 +20,6 @@
 #include "trace/stream/convert.hpp"
 #include "trace/stream/format.hpp"
 #include "trace/stream/reader.hpp"
-#include "trace/stream/source.hpp"
 #include "trace/stream/writer.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
@@ -254,9 +253,9 @@ TEST(TraceStream, PeakResidentBytesStayWithinTheWindow) {
   std::remove(path.c_str());
 }
 
-TEST(TraceStream, MemoryTraceSourceViewsWithoutCharging) {
+TEST(TraceStream, TraceSetViewsWithoutCharging) {
   const TraceSet original = sample_traces();
-  const MemoryTraceSource source(original);
+  const TraceSource& source = original;
   EXPECT_EQ(source.backing_traces(), &original);
   EXPECT_EQ(source.peak_resident_trace_bytes(), 0u);
   EXPECT_NO_THROW(source.set_stream_window(1));  // ignored, not enforced
@@ -479,8 +478,8 @@ TEST(TraceStream, HeaderPlusTrailerWithNoFooterIsRejected) {
 
 TEST(TraceStream, TruncationAtEveryOffsetIsRejected) {
   // Every proper prefix must fail cleanly — the trailer dies first, so
-  // no prefix can ever reach a cursor.  Same every-7th-byte pattern as
-  // the EM2T hardening test, over a multi-chunk file.
+  // no prefix can ever reach a cursor.  Every 7th prefix of a
+  // multi-chunk file.
   const std::string full_path = tmp_path("trunc_full.em2s");
   TraceWriter::Options opts;
   opts.chunk_bytes = 64;

@@ -10,7 +10,7 @@ namespace em2::workload {
 namespace {
 
 RunLengthReport run_lengths_of(const TraceSet& ts, std::int32_t cores) {
-  FirstTouchPlacement placement(ts, cores);
+  Placement placement = Placement::first_touch(ts, cores);
   RunLengthAnalyzer analyzer;
   for (const auto& t : ts.threads()) {
     const auto homes = home_sequence(t, ts, placement);

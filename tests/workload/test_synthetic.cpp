@@ -10,7 +10,7 @@ namespace em2::workload {
 namespace {
 
 RunLengthReport run_lengths_of(const TraceSet& ts, std::int32_t cores) {
-  FirstTouchPlacement placement(ts, cores);
+  Placement placement = Placement::first_touch(ts, cores);
   RunLengthAnalyzer analyzer;
   for (const auto& t : ts.threads()) {
     const auto homes = home_sequence(t, ts, placement);
@@ -60,7 +60,7 @@ TEST(Hotspot, HotBlocksConcentrateAtOneCore) {
   p.threads = 8;
   p.hot_fraction = 0.5;
   const TraceSet ts = make_hotspot(p);
-  FirstTouchPlacement placement(ts, 8);
+  Placement placement = Placement::first_touch(ts, 8);
   // All hot blocks are first-touched by thread 0.
   for (std::int64_t b = 0; b < p.hot_blocks; ++b) {
     const Addr addr = 0x0100'0000 + static_cast<Addr>(b) * 64;
@@ -84,7 +84,7 @@ TEST(ProducerConsumer, ConsumersAccessRemotely) {
   ProducerConsumerParams p;
   p.threads = 8;
   const TraceSet ts = make_producer_consumer(p);
-  FirstTouchPlacement placement(ts, 8);
+  Placement placement = Placement::first_touch(ts, 8);
   RunLengthAnalyzer analyzer;
   for (const auto& t : ts.threads()) {
     const auto homes = home_sequence(t, ts, placement);
@@ -106,7 +106,7 @@ TEST(StackWorkloads, DeriveMatchesTraceLength) {
   p.threads = 4;
   p.accesses_per_thread = 200;
   const TraceSet ts = make_geometric_runs(p);
-  StripedPlacement placement(4);
+  Placement placement = Placement::striped(4);
   const auto homes = home_sequence(ts.thread(0), ts, placement);
   const StackModelTrace st =
       derive_stack_trace(ts.thread(0), homes, DeriveParams{});
