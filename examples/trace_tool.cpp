@@ -5,9 +5,13 @@
 //   ./trace_tool --generate=ocean --threads=16 --out=ocean.em2t
 //   ./trace_tool --in=ocean.em2t --stats
 //   ./trace_tool --in=ocean.em2t --fig2                 # run-length bars
-//   ./trace_tool --in=ocean.em2t --convert=ocean.em2b   # text -> binary
+//   ./trace_tool --in=ocean.em2t --convert=ocean.em2s   # text -> EM2S
+//
+// --out and --convert pick the format from the extension: .em2t text or
+// .em2s streaming EM2S.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "api/system.hpp"
 #include "trace/trace_io.hpp"
@@ -48,13 +52,23 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr,
                  "usage: trace_tool --generate=<workload>|--in=<file> "
-                 "[--out=<file>] [--convert=<file>] [--stats] [--fig2]\n");
+                 "[--out=<file.em2t|file.em2s>] "
+                 "[--convert=<file.em2t|file.em2s>] [--stats] [--fig2]\n");
     return 1;
   }
 
+  // save_trace throws for an extension other than .em2t or .em2s.
+  const auto save = [&](const std::string& path) {
+    try {
+      return em2::save_trace(path, *traces);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return false;
+    }
+  };
   const std::string out = args.get_string("out", "");
   if (!out.empty()) {
-    if (!em2::save_trace(out, *traces)) {
+    if (!save(out)) {
       return 1;
     }
     std::printf("wrote %s (%llu accesses, %zu threads)\n", out.c_str(),
@@ -63,7 +77,7 @@ int main(int argc, char** argv) {
   }
   const std::string convert = args.get_string("convert", "");
   if (!convert.empty()) {
-    if (!em2::save_trace(convert, *traces)) {
+    if (!save(convert)) {
       return 1;
     }
     std::printf("converted to %s\n", convert.c_str());

@@ -1,14 +1,14 @@
 // The EM2S on-disk trace format: byte-level layout, varint coding, CRC,
 // and the per-chunk compression hook.
 //
-// EM2S is the streaming counterpart of the packed EM2T format: instead of
-// one monolithic per-thread record array (which forces the reader to
+// EM2S is the repository's binary trace format.  Instead of one
+// monolithic per-thread record array (which would force the reader to
 // materialize whole threads), the access stream is cut into bounded
 // *chunks* that a cursor can decode one batch at a time, so a trace far
 // larger than RAM runs through the trace-mode engines under a hard memory
 // budget.
 //
-// File layout (all integers host-endian, like EM2T):
+// File layout (all integers host-endian):
 //
 //   header   magic "EM2S" | u32 version=1 | u32 block_bytes | u32 nthreads
 //   chunks   back-to-back, append order:
@@ -50,8 +50,8 @@ inline constexpr std::size_t kTrailerBytes = 16;
 /// Largest raw (decoded) chunk payload a reader will accept; the writer
 /// cuts chunks far below this.
 inline constexpr std::uint32_t kMaxChunkBytes = 1u << 26;
-/// Same cap as the EM2T reader: the mesh tops out orders of magnitude
-/// lower.
+/// A thread count beyond this is rejected outright: the mesh tops out
+/// orders of magnitude lower.
 inline constexpr std::uint32_t kMaxThreads = 1u << 20;
 /// A varint for a 64-bit value needs at most 10 bytes; a record is two.
 inline constexpr std::size_t kMaxVarintBytes = 10;

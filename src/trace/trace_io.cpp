@@ -1,6 +1,5 @@
 #include "trace/trace_io.hpp"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cctype>
@@ -15,28 +14,6 @@
 
 namespace em2 {
 namespace {
-
-constexpr std::array<char, 4> kMagic = {'E', 'M', '2', 'T'};
-constexpr std::uint32_t kVersion = 1;
-/// Pre-validation reserve() cap: a header may honestly promise more
-/// records than this, but anything it promises beyond it must be earned
-/// by actually delivering bytes — a 16-byte file claiming 2^60 records
-/// must not allocate 2^60 slots up front.
-constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 20;
-/// A thread count beyond this is rejected outright (the mesh tops out
-/// orders of magnitude lower).
-constexpr std::uint32_t kMaxThreads = 1u << 20;
-
-template <typename T>
-void put(std::ostream& os, const T& value) {
-  os.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool get(std::istream& is, T& value) {
-  is.read(reinterpret_cast<char*>(&value), sizeof(T));
-  return static_cast<bool>(is);
-}
 
 [[noreturn]] void fail(const std::string& why) {
   throw TraceFormatError("trace load failed: " + why);
@@ -152,80 +129,6 @@ TraceSet read_trace_text(std::istream& is) {
   return *std::move(result);
 }
 
-bool write_trace_binary(std::ostream& os, const TraceSet& traces) {
-  os.write(kMagic.data(), kMagic.size());
-  put(os, kVersion);
-  put(os, traces.block_bytes());
-  put(os, static_cast<std::uint32_t>(traces.num_threads()));
-  for (const auto& t : traces.threads()) {
-    put(os, t.thread());
-    put(os, t.native_core());
-    put(os, static_cast<std::uint64_t>(t.size()));
-    for (const auto& a : t.accesses()) {
-      put(os, a.addr);
-      put(os, a.gap);
-      put(os, static_cast<std::uint8_t>(a.op));
-    }
-  }
-  return static_cast<bool>(os);
-}
-
-TraceSet read_trace_binary(std::istream& is) {
-  std::array<char, 4> magic{};
-  is.read(magic.data(), magic.size());
-  if (!is || magic != kMagic) {
-    fail("bad magic (not an EM2T trace)");
-  }
-  std::uint32_t version = 0;
-  std::uint32_t block_bytes = 0;
-  std::uint32_t nthreads = 0;
-  if (!get(is, version)) {
-    fail("truncated header");
-  }
-  if (version != kVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kVersion) + ")");
-  }
-  if (!get(is, block_bytes) || !get(is, nthreads)) {
-    fail("truncated header");
-  }
-  check_block_bytes(block_bytes);
-  if (nthreads > kMaxThreads) {
-    fail("implausible thread count " + std::to_string(nthreads));
-  }
-  TraceSet traces(block_bytes);
-  for (std::uint32_t i = 0; i < nthreads; ++i) {
-    ThreadId tid = 0;
-    CoreId native = 0;
-    std::uint64_t count = 0;
-    if (!get(is, tid) || !get(is, native) || !get(is, count)) {
-      fail("truncated thread header");
-    }
-    check_thread_header(tid, native, traces.num_threads());
-    ThreadTrace t(tid, native);
-    // Capped: past the cap the vector grows only as records actually
-    // arrive, so a lying header costs a reallocation, not the address
-    // space.
-    t.reserve(static_cast<std::size_t>(std::min(count, kMaxReserve)));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      Access a;
-      std::uint8_t op = 0;
-      if (!get(is, a.addr) || !get(is, a.gap) || !get(is, op)) {
-        fail("truncated access record (thread " + std::to_string(tid) +
-             ", record " + std::to_string(k) + " of " +
-             std::to_string(count) + ")");
-      }
-      if (op > static_cast<std::uint8_t>(MemOp::kWrite)) {
-        fail("invalid op byte " + std::to_string(op));
-      }
-      a.op = static_cast<MemOp>(op);
-      t.append(a);
-    }
-    traces.add_thread(std::move(t));
-  }
-  return traces;
-}
-
 namespace {
 
 bool has_suffix(const std::string& path, const char* suffix) {
@@ -234,14 +137,12 @@ bool has_suffix(const std::string& path, const char* suffix) {
          path.compare(path.size() - n, n, suffix) == 0;
 }
 
-enum class SniffedFormat { kText, kBinary, kStream, kUnknown };
+enum class SniffedFormat { kText, kStream, kUnknown };
 
 const char* format_name(SniffedFormat f) {
   switch (f) {
     case SniffedFormat::kText:
       return "text";
-    case SniffedFormat::kBinary:
-      return "EM2T binary";
     case SniffedFormat::kStream:
       return "EM2S stream";
     case SniffedFormat::kUnknown:
@@ -250,13 +151,10 @@ const char* format_name(SniffedFormat f) {
   return "unknown";
 }
 
-/// What the leading bytes say the file is.  The magics are decisive; a
-/// run of printable/whitespace bytes reads as the text format; anything
+/// What the leading bytes say the file is.  The EM2S magic is decisive;
+/// a run of printable/whitespace bytes reads as the text format; anything
 /// else is unidentifiable.
 SniffedFormat sniff_format(const char* head, std::size_t n) {
-  if (n >= 4 && std::memcmp(head, kMagic.data(), 4) == 0) {
-    return SniffedFormat::kBinary;
-  }
   if (n >= 4 && std::memcmp(head, em2s::kMagic.data(), 4) == 0) {
     return SniffedFormat::kStream;
   }
@@ -278,7 +176,7 @@ SniffedFormat extension_hint(const std::string& path) {
   if (has_suffix(path, ".em2s")) {
     return SniffedFormat::kStream;
   }
-  return SniffedFormat::kBinary;
+  return SniffedFormat::kUnknown;
 }
 
 }  // namespace
@@ -287,19 +185,19 @@ bool save_trace(const std::string& path, const TraceSet& traces) {
   if (has_suffix(path, ".em2s")) {
     return write_trace_stream(path, traces);
   }
-  const bool text = has_suffix(path, ".em2t");
-  std::ofstream out(path, text ? std::ios::out : std::ios::binary);
-  if (!out) {
-    return false;
+  if (!has_suffix(path, ".em2t")) {
+    throw std::invalid_argument(
+        "save_trace: cannot tell the format of " + path +
+        " from its extension (use .em2t for text or .em2s for EM2S)");
   }
-  return text ? write_trace_text(out, traces)
-              : write_trace_binary(out, traces);
+  std::ofstream out(path);
+  return out && write_trace_text(out, traces);
 }
 
 TraceSet load_trace(const std::string& path) {
   // Dispatch on what the file IS, not what it is called: sniff the
   // leading bytes and only consult the extension to phrase the error
-  // when the content is unidentifiable.  Text saved under a binary name
+  // when the content is unidentifiable.  Text saved under a stream name
   // (or vice versa) therefore loads correctly instead of mis-parsing.
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -311,10 +209,10 @@ TraceSet load_trace(const std::string& path) {
   const SniffedFormat content = sniff_format(head.data(), got);
   if (content == SniffedFormat::kUnknown) {
     fail("cannot identify the format of " + path +
-         ": the leading bytes carry no EM2T/EM2S magic and are not "
-         "text, but the extension suggests " +
+         ": the leading bytes carry no EM2S magic and are not text, and "
+         "the extension suggests " +
          format_name(extension_hint(path)) +
-         " (candidates: text, EM2T binary, EM2S stream)");
+         " (candidates: text, EM2S stream)");
   }
   if (content == SniffedFormat::kStream) {
     in.close();
@@ -322,8 +220,7 @@ TraceSet load_trace(const std::string& path) {
   }
   in.clear();  // a file shorter than the sniff buffer set eofbit
   in.seekg(0);
-  return content == SniffedFormat::kText ? read_trace_text(in)
-                                         : read_trace_binary(in);
+  return read_trace_text(in);
 }
 
 }  // namespace em2

@@ -1,5 +1,5 @@
 // Trace persistence: a line-oriented text format (inspectable, diffable)
-// and a packed binary format (for large traces).
+// and the chunked EM2S stream format (trace/stream/, for large traces).
 //
 // Text format:
 //   # comment
@@ -7,17 +7,14 @@
 //   thread <tid> native <core>
 //   <R|W> <hex addr> [gap]
 //
-// Binary format: magic "EM2T", u32 version, u32 block_bytes, u32 nthreads,
-// then per thread: i32 tid, i32 native, u64 count, count * packed records
-// (u64 addr, u32 gap, u8 op).
-//
 // Error contract: the readers validate EVERYTHING a file can lie about —
-// truncation, bad magic/version, non-power-of-two block sizes, out-of-range
-// op bytes, negative or non-dense thread ids, and record counts far beyond
-// what the stream can hold — and fail with TraceFormatError carrying a
-// message that names the defect (the UnknownNameError pattern applied to
-// file input).  Malformed input can never reach an internal assert or feed
-// an attacker-controlled allocation.
+// malformed lines, non-power-of-two block sizes, negative or non-dense
+// thread ids (and, for EM2S, truncation, bad magic/version, CRCs and
+// record counts beyond what the file can hold) — and fail with
+// TraceFormatError carrying a message that names the defect (the
+// UnknownNameError pattern applied to file input).  Malformed input can
+// never reach an internal assert or feed an attacker-controlled
+// allocation.
 #pragma once
 
 #include <iosfwd>
@@ -42,21 +39,15 @@ bool write_trace_text(std::ostream& os, const TraceSet& traces);
 /// Parses the text format.  Throws TraceFormatError on malformed input.
 TraceSet read_trace_text(std::istream& is);
 
-/// Writes `traces` in the packed binary format.
-bool write_trace_binary(std::ostream& os, const TraceSet& traces);
-
-/// Reads the packed binary format.  Throws TraceFormatError on malformed,
-/// truncated, or oversized input.
-TraceSet read_trace_binary(std::istream& is);
-
 /// File-path conveniences.  save_trace chooses the format by extension:
-/// ".em2t" text, ".em2s" streaming EM2S (trace/stream/), anything else
-/// packed binary.  load_trace dispatches on the file's CONTENT — the
-/// EM2T/EM2S magics are decisive, leading printable bytes mean text —
-/// so a trace saved under a misleading extension still loads correctly;
-/// unidentifiable content throws TraceFormatError naming both what the
-/// sniff found and what the extension suggested.  Also throws when the
-/// file cannot be opened or fails to parse.
+/// ".em2t" text, ".em2s" streaming EM2S (trace/stream/); any other
+/// extension throws std::invalid_argument naming both.  It returns false
+/// when the file cannot be written.  load_trace dispatches on the file's
+/// CONTENT — the EM2S magic is decisive, leading printable bytes mean
+/// text — so a trace saved under a misleading extension still loads
+/// correctly; unidentifiable content throws TraceFormatError naming both
+/// what the sniff found and what the extension suggested.  Also throws
+/// when the file cannot be opened or fails to parse.
 bool save_trace(const std::string& path, const TraceSet& traces);
 TraceSet load_trace(const std::string& path);
 

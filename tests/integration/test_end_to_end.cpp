@@ -3,7 +3,7 @@
 // together, run across the entire workload registry.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
 
 #include "api/system.hpp"
 #include "em2/replication.hpp"
@@ -54,15 +54,17 @@ TEST_P(EveryWorkload, DpOptimalLowerBoundsEveryPolicy) {
 }
 
 TEST_P(EveryWorkload, TraceRoundTripPreservesSimulation) {
-  // Serialize -> parse -> rerun: the binary format must not perturb any
+  // Serialize -> parse -> rerun: the EM2S format must not perturb any
   // simulator-visible property.
   SystemConfig cfg;
   cfg.threads = kThreads;
   System sys(cfg);
   const TraceSet original = traces();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(write_trace_binary(ss, original));
-  const TraceSet loaded = read_trace_binary(ss);
+  const std::string path =
+      testing::TempDir() + "end_to_end_" + GetParam() + ".em2s";
+  ASSERT_TRUE(save_trace(path, original));
+  const TraceSet loaded = load_trace(path);
+  std::remove(path.c_str());
 
   const RunReport a = sys.run(original, {.arch = MemArch::kEm2});
   const RunReport b = sys.run(loaded, {.arch = MemArch::kEm2});

@@ -2,11 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace em2 {
@@ -39,29 +38,11 @@ void expect_equal(const TraceSet& a, const TraceSet& b) {
   }
 }
 
-/// Serialized sample with one field patched at byte `offset`.
-std::string patched_binary(std::size_t offset, const void* bytes,
-                           std::size_t n) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_TRUE(write_trace_binary(ss, sample_traces()));
-  std::string data = ss.str();
-  EXPECT_LE(offset + n, data.size());
-  std::memcpy(data.data() + offset, bytes, n);
-  return data;
-}
-
 TEST(TraceIo, TextRoundTrip) {
   const TraceSet original = sample_traces();
   std::stringstream ss;
   ASSERT_TRUE(write_trace_text(ss, original));
   expect_equal(original, read_trace_text(ss));
-}
-
-TEST(TraceIo, BinaryRoundTrip) {
-  const TraceSet original = sample_traces();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(write_trace_binary(ss, original));
-  expect_equal(original, read_trace_binary(ss));
 }
 
 TEST(TraceIo, TextFormatIsHumanReadable) {
@@ -114,86 +95,11 @@ TEST(TraceIo, TextParserRejectsNegativeNativeCore) {
   EXPECT_THROW(read_trace_text(ss), TraceFormatError);
 }
 
-TEST(TraceIo, BinaryRejectsBadMagic) {
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ss << "NOPE garbage";
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
-TEST(TraceIo, BinaryRejectsTruncation) {
-  const TraceSet original = sample_traces();
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(write_trace_binary(ss, original));
-  std::string data = ss.str();
-  // Every proper prefix must fail cleanly — never assert, never read
-  // uninitialized memory.
-  for (std::size_t cut = 0; cut < data.size(); cut += 7) {
-    std::stringstream trunc(data.substr(0, cut),
-                            std::ios::in | std::ios::out | std::ios::binary);
-    EXPECT_THROW(read_trace_binary(trunc), TraceFormatError) << cut;
-  }
-}
-
-TEST(TraceIo, BinaryRejectsOversizedRecordCount) {
-  // Header layout: magic(4) version(4) block(4) nthreads(4) tid(4)
-  // native(4) count(8).  A count of 2^60 must not allocate 2^60 records
-  // up front — the reader's reserve is capped and the stream runs dry.
-  const std::uint64_t huge = std::uint64_t{1} << 60;
-  const std::string data = patched_binary(24, &huge, sizeof huge);
-  std::stringstream ss(data,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
-TEST(TraceIo, BinaryRejectsImplausibleThreadCount) {
-  const std::uint32_t huge = 0xffffffffu;
-  const std::string data = patched_binary(12, &huge, sizeof huge);
-  std::stringstream ss(data,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
-TEST(TraceIo, BinaryRejectsBadBlockBytes) {
-  const std::uint32_t bad = 48;
-  const std::string data = patched_binary(8, &bad, sizeof bad);
-  std::stringstream ss(data,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
-TEST(TraceIo, BinaryRejectsBadOpByte) {
-  // First access record of thread 0 starts after the 16-byte header plus
-  // tid(4) + native(4) + count(8); its op byte sits at +8+4 within it.
-  const std::uint8_t bad = 7;
-  const std::string data = patched_binary(32 + 12, &bad, sizeof bad);
-  std::stringstream ss(data,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
-TEST(TraceIo, BinaryRejectsNonDenseThreadIds) {
-  // Thread 0's tid field (offset 16) patched to 5: used to hit the
-  // dense-id assert in TraceSet::add_thread.
-  const std::int32_t bad = 5;
-  const std::string data = patched_binary(16, &bad, sizeof bad);
-  std::stringstream ss(data,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
-TEST(TraceIo, BinaryRejectsUnsupportedVersion) {
-  const std::uint32_t bad = 99;
-  const std::string data = patched_binary(4, &bad, sizeof bad);
-  std::stringstream ss(data,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  EXPECT_THROW(read_trace_binary(ss), TraceFormatError);
-}
-
 TEST(TraceIo, EmptyTraceSetRoundTrips) {
   const TraceSet empty(128);
-  std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(write_trace_binary(ss, empty));
-  const TraceSet loaded = read_trace_binary(ss);
+  std::stringstream ss;
+  ASSERT_TRUE(write_trace_text(ss, empty));
+  const TraceSet loaded = read_trace_text(ss);
   EXPECT_EQ(loaded.num_threads(), 0u);
   EXPECT_EQ(loaded.block_bytes(), 128u);
 }
@@ -204,9 +110,9 @@ TEST(TraceIo, LoadTraceThrowsOnMissingFile) {
 }
 
 // ---------------------------------------------------------------------
-// load_trace dispatches on content, not extension: the EM2T/EM2S magics
-// and a printable prefix decide; the extension is only a hint in the
-// error message for unidentifiable bytes.
+// load_trace dispatches on content, not extension: the EM2S magic and a
+// printable prefix decide; the extension is only a hint in the error
+// message for unidentifiable bytes.
 
 std::string io_tmp_path(const std::string& name) {
   return testing::TempDir() + "trace_io_" + name;
@@ -217,16 +123,7 @@ TEST(TraceIo, LoadTraceSniffsTextUnderABinaryExtension) {
   std::ofstream out(path);
   ASSERT_TRUE(write_trace_text(out, sample_traces()));
   out.close();
-  // Extension says packed binary; the bytes say text.  Content wins.
-  expect_equal(sample_traces(), load_trace(path));
-  std::remove(path.c_str());
-}
-
-TEST(TraceIo, LoadTraceSniffsBinaryUnderATextExtension) {
-  const std::string path = io_tmp_path("binary_as.em2t");
-  std::ofstream out(path, std::ios::binary);
-  ASSERT_TRUE(write_trace_binary(out, sample_traces()));
-  out.close();
+  // The extension names no format; the bytes say text.  Content wins.
   expect_equal(sample_traces(), load_trace(path));
   std::remove(path.c_str());
 }
@@ -236,7 +133,7 @@ TEST(TraceIo, LoadTraceSniffsStreamUnderAForeignExtension) {
   const TraceSet original = sample_traces();
   ASSERT_TRUE(save_trace(io_tmp_path("stream_as.em2s"), original));
   // Rename-by-rewrite: save under the canonical name, copy the bytes to
-  // a name that hints "binary".
+  // a name that hints no format.
   {
     std::ifstream in(io_tmp_path("stream_as.em2s"), std::ios::binary);
     std::ofstream out(path, std::ios::binary);
@@ -253,6 +150,20 @@ TEST(TraceIo, SaveTraceEm2sExtensionRoundTrips) {
   ASSERT_TRUE(save_trace(path, original));
   expect_equal(original, load_trace(path));
   std::remove(path.c_str());
+}
+
+TEST(TraceIo, SaveTraceRejectsAnUnknownExtension) {
+  const std::string path = io_tmp_path("unknown_extension.bin");
+  try {
+    (void)save_trace(path, sample_traces());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(".em2t"), std::string::npos) << what;
+    EXPECT_NE(what.find(".em2s"), std::string::npos) << what;
+  }
+  // Nothing was written.
+  EXPECT_FALSE(std::ifstream(path).good());
 }
 
 TEST(TraceIo, LoadTraceNamesBothCandidatesOnUnidentifiableBytes) {

@@ -1,16 +1,16 @@
-// Trace format converter: any of the three on-disk trace formats (text
-// .em2t, packed binary EM2T, streaming EM2S) to any other, with an
-// optional read-back verification pass.
+// Trace format converter: either on-disk trace format (text .em2t,
+// streaming EM2S .em2s) to the other, with an optional read-back
+// verification pass.
 //
 //   trace_convert --in=ocean.em2t --out=ocean.em2s            # to stream
-//   trace_convert --in=ocean.em2s --out=ocean.bin             # to binary
+//   trace_convert --in=ocean.em2s --out=ocean.em2t --verify   # to text
 //   trace_convert --in=big.em2t --out=big.em2s --chunk-bytes=65536 --verify
 //   trace_convert --in=big.em2t --out=big.em2s --codec=em2z   # compressed
 //
-// The input format is sniffed from the file's content (the EM2T/EM2S
-// magics are decisive, printable bytes mean text), the output format
-// follows the --out extension: ".em2t" text, ".em2s" streaming EM2S,
-// anything else packed binary.  --chunk-bytes sets the EM2S chunk
+// The input format is sniffed from the file's content (the EM2S magic is
+// decisive, printable bytes mean text), the output format follows the
+// --out extension: ".em2t" text, ".em2s" streaming EM2S; any other
+// extension is an error.  --chunk-bytes sets the EM2S chunk
 // target (>= 64) and --codec=none|em2z selects per-chunk compression
 // (both only meaningful for a .em2s output; em2z files read back
 // everywhere — the codec is built into the stream reader).  --verify
@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
   const std::string out = args.get_string("out", "");
   if (in.empty() || out.empty()) {
     std::fprintf(stderr,
-                 "usage: trace_convert --in=<file> --out=<file> "
-                 "[--chunk-bytes=N] [--verify]\n");
+                 "usage: trace_convert --in=<file> --out=<file.em2t|"
+                 "file.em2s> [--chunk-bytes=N] [--codec=none|em2z] "
+                 "[--verify]\n");
     return 2;
   }
 
