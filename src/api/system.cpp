@@ -187,8 +187,7 @@ RunReport System::run(const workload::Workload& workload,
   validate(spec);
   const std::shared_ptr<const Placement> placement =
       placement_for(workload, spec);
-  return run_with_placement(workload.traces(), spec,
-                            *placement, &workload);
+  return run_with_placement(workload.traces(), spec, *placement, &workload);
 }
 
 RunReport System::run(const TraceSource& traces,

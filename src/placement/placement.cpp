@@ -1,7 +1,7 @@
 #include "placement/placement.hpp"
 
-#include <utility>
 #include <unordered_map>
+#include <utility>
 
 #include "trace/round_robin.hpp"
 #include "util/assert.hpp"
