@@ -33,17 +33,6 @@ namespace em2 {
 /// is one multiply, one slot read and one page read.
 class Placement {
  public:
-  /// Home rule for blocks with no table entry.
-  enum class Fallback : std::uint8_t {
-    /// Block b -> b mod P.  The placement-oblivious baseline: spreads
-    /// load but ignores locality.
-    kStriped,
-    /// Block b -> splitmix64(b) mod P.  Destroys both locality and
-    /// structure: the worst reasonable placement, the "bad placement"
-    /// pole in ablations.
-    kHashed,
-  };
-
   /// An empty table over striping, named "table"; fill it with assign().
   explicit Placement(std::int32_t num_cores)
       : Placement(num_cores, Fallback::kStriped, "table") {}
@@ -100,6 +89,17 @@ class Placement {
   std::vector<std::uint64_t> blocks_per_core() const;
 
  private:
+  /// Home rule for blocks with no table entry.
+  enum class Fallback : std::uint8_t {
+    /// Block b -> b mod P.  The placement-oblivious baseline: spreads
+    /// load but ignores locality.
+    kStriped,
+    /// Block b -> splitmix64(b) mod P.  Destroys both locality and
+    /// structure: the worst reasonable placement, the "bad placement"
+    /// pole in ablations.
+    kHashed,
+  };
+
   struct HomePage {
     HomePage() { core.fill(kNoCore); }
     std::array<CoreId, 16> core;
