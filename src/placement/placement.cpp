@@ -7,11 +7,31 @@
 #include "util/assert.hpp"
 
 namespace em2 {
+namespace {
+
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
 
 Placement::Placement(std::int32_t num_cores, Fallback fallback,
                      std::string name)
     : num_cores_(num_cores), fallback_(fallback), name_(std::move(name)) {
   EM2_ASSERT(num_cores >= 1, "placement needs at least one core");
+}
+
+CoreId Placement::home_of_block(Addr block) const {
+  if (const HomePage* page = table_.find(block >> 4)) {
+    if (const CoreId home = page->core[block & 15]; home != kNoCore) {
+      return home;
+    }
+  }
+  const Addr key = fallback_ == Fallback::kHashed ? splitmix64(block) : block;
+  return static_cast<CoreId>(key % static_cast<std::uint64_t>(num_cores_));
 }
 
 void Placement::assign(Addr block, CoreId home) {

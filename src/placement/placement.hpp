@@ -29,8 +29,8 @@ namespace em2 {
 /// trace and fall back to striping.
 ///
 /// The table is a flat PageTable of 16 homes per page (kNoCore =
-/// unassigned), so the inline lookup every trace engine makes per access
-/// is one multiply, one slot read and one page read.
+/// unassigned), so the lookup every trace engine makes per access is one
+/// direct call: one multiply, one slot read and one page read.
 class Placement {
  public:
   /// An empty table over striping, named "table"; fill it with assign().
@@ -64,17 +64,7 @@ class Placement {
                                   std::int32_t num_cores);
 
   /// Home core of placement block `block` (NOT a byte address).
-  CoreId home_of_block(Addr block) const {
-    if (const HomePage* page = table_.find(block >> 4)) {
-      if (const CoreId home = page->core[block & 15]; home != kNoCore) {
-        return home;
-      }
-    }
-    const Addr key = fallback_ == Fallback::kHashed ? splitmix64(block)
-                                                    : block;
-    return static_cast<CoreId>(key %
-                               static_cast<std::uint64_t>(num_cores_));
-  }
+  CoreId home_of_block(Addr block) const;
 
   /// Short scheme name for reports ("first-touch", "striped", ...).
   const std::string& name() const noexcept { return name_; }
@@ -106,13 +96,6 @@ class Placement {
   };
 
   Placement(std::int32_t num_cores, Fallback fallback, std::string name);
-
-  static std::uint64_t splitmix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
 
   /// The home of `block`, kNoCore while unassigned.  Whoever stores a
   /// home into a kNoCore cell bumps assigned_.  The reference is valid
