@@ -81,7 +81,10 @@ int main(int argc, char** argv) {
           return 1;
         }
       }
-      em2::AlwaysMigratePolicy pol;
+      // The "custom:" form walks the generic decide-apply loop through the
+      // virtual interface; the sealed always-migrate takes a shortcut.
+      em2::StandardPolicy pol = em2::StandardPolicy::make(
+          "custom:always-migrate", model.mesh(), model);
       double policy_ms = time_ms([&] {
         (void)em2::evaluate_policy_model(trace, model, pol);
       });

@@ -44,9 +44,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else if (!in.empty()) {
-    traces = em2::load_trace(in);
-    if (!traces) {
-      std::fprintf(stderr, "failed to load '%s'\n", in.c_str());
+    // load_trace throws for a missing, unreadable or malformed file.
+    try {
+      traces = em2::load_trace(in);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: cannot load '%s': %s\n", in.c_str(),
+                   e.what());
       return 1;
     }
   } else {

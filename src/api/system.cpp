@@ -218,23 +218,7 @@ std::vector<RunReport> System::run_matrix(
   return sweep::run(
       workloads.size() * stride,
       [&](std::size_t i) {
-        const workload::Workload& w = workloads[i / stride];
-        const RunSpec& spec = specs[i % stride];
-        if (errors == MatrixErrorPolicy::kRethrow) {
-          return run(w, spec);
-        }
-        // kCapture: validation errors are per-cell too — one bad spec
-        // fails its own row of cells, not the whole grid.
-        try {
-          return run(w, spec);
-        } catch (const std::exception& e) {
-          RunReport failed;
-          failed.arch = spec.arch;
-          failed.mode = spec.mode;
-          failed.workload = w.name();
-          failed.error = e.what();
-          return failed;
-        }
+        return run_cell(workloads[i / stride], specs[i % stride], errors);
       },
       opts);
 }
@@ -286,22 +270,28 @@ std::vector<RunReport> System::run_mesh_matrix(
         const System& sys = *systems[i / (wstride * sstride)];
         const workload::Workload& w = grids[i / (wstride * sstride)]
                                            [(i / sstride) % wstride];
-        const RunSpec& spec = specs[i % sstride];
-        if (errors == MatrixErrorPolicy::kRethrow) {
-          return sys.run(w, spec);
-        }
-        try {
-          return sys.run(w, spec);
-        } catch (const std::exception& e) {
-          RunReport failed;
-          failed.arch = spec.arch;
-          failed.mode = spec.mode;
-          failed.workload = w.name();
-          failed.error = e.what();
-          return failed;
-        }
+        return sys.run_cell(w, specs[i % sstride], errors);
       },
       opts);
+}
+
+RunReport System::run_cell(const workload::Workload& w, const RunSpec& spec,
+                           MatrixErrorPolicy errors) const {
+  if (errors == MatrixErrorPolicy::kRethrow) {
+    return run(w, spec);
+  }
+  // kCapture: validation errors are per-cell too — one bad spec fails its
+  // own row of cells, not the whole grid.
+  try {
+    return run(w, spec);
+  } catch (const std::exception& e) {
+    RunReport failed;
+    failed.arch = spec.arch;
+    failed.mode = spec.mode;
+    failed.workload = w.name();
+    failed.error = e.what();
+    return failed;
+  }
 }
 
 RunReport System::run_with_placement(

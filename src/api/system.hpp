@@ -354,6 +354,10 @@ class System {
       const std::string& scheme, const TraceSource& traces) const;
   /// Fails fast on unknown policy/placement names in `spec`.
   void validate(const RunSpec& spec) const;
+  /// One matrix cell: run(w, spec), or under kCapture a RunReport whose
+  /// `error` holds the exception text.
+  RunReport run_cell(const workload::Workload& w, const RunSpec& spec,
+                     MatrixErrorPolicy errors) const;
 
   RunReport run_with_placement(const TraceSource& traces,
                                const RunSpec& spec,

@@ -19,7 +19,7 @@ namespace {
 
 /// The run, templated on the concrete policy type so every
 /// decide()/observe() inside is a direct call.  Policy = DecisionPolicy
-/// instantiates the retained virtual path.
+/// (the kCustom alternative) instantiates the virtual path.
 template <typename Policy>
 HybridRunReport run_em2ra_impl(const TraceSource& traces,
                                const Placement& placement, const Mesh& mesh,
@@ -58,15 +58,6 @@ HybridRunReport run_em2ra(const TraceSource& traces,
     return run_em2ra_impl(traces, placement, mesh, cost, params, p,
                           recorder, faults);
   });
-}
-
-HybridRunReport run_em2ra(const TraceSource& traces,
-                          const Placement& placement, const Mesh& mesh,
-                          const CostModel& cost, const Em2Params& params,
-                          DecisionPolicy& policy, TrafficRecorder* recorder,
-                          FaultInjector* faults) {
-  return run_em2ra_impl(traces, placement, mesh, cost, params, policy,
-                        recorder, faults);
 }
 
 }  // namespace em2

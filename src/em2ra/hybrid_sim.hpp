@@ -31,25 +31,16 @@ struct HybridRunReport {
 ///
 /// The whole trace loop is specialized on the policy's concrete type by
 /// ONE StandardPolicy::visit hoisted outside it: a sealed scheme pays no
-/// virtual call per access, the kCustom alternative runs the same loop
-/// against the DecisionPolicy interface (the retained virtual path).
-/// Every access is one HybridMachine::access_hybrid traversal — the same
-/// body the execution-driven engines and bench_hot_path drive.
+/// virtual call per access, the kCustom alternative (StandardPolicy::custom
+/// or a "custom:<spec>" spec) runs the same loop against the virtual
+/// DecisionPolicy interface — the path the sealed one is diffed against
+/// (tests/em2ra/test_dispatch_equivalence.cpp).  Every access is one
+/// HybridMachine::access_hybrid traversal — the same body the
+/// execution-driven engines and bench_hot_path drive.
 HybridRunReport run_em2ra(const TraceSource& traces,
                           const Placement& placement, const Mesh& mesh,
                           const CostModel& cost, const Em2Params& params,
                           StandardPolicy& policy,
-                          TrafficRecorder* recorder = nullptr,
-                          FaultInjector* faults = nullptr);
-
-/// Same, always through the virtual DecisionPolicy interface — the
-/// dispatch the sealed path is diffed against (bit-identical reports,
-/// tests/em2ra/test_dispatch_equivalence.cpp) and the overload custom
-/// policies use directly.
-HybridRunReport run_em2ra(const TraceSource& traces,
-                          const Placement& placement, const Mesh& mesh,
-                          const CostModel& cost, const Em2Params& params,
-                          DecisionPolicy& policy,
                           TrafficRecorder* recorder = nullptr,
                           FaultInjector* faults = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <string_view>
+#include <type_traits>
 
 #include "util/assert.hpp"
 #include "util/error.hpp"
@@ -269,6 +270,19 @@ ParsedSpec parse_spec(const std::string& spec) {
   return p;
 }
 
+/// True iff `spec` names a standard scheme with no mutable predictor
+/// state (always-migrate, always-remote, distance:<hops>).  False for
+/// unknown specs.
+bool policy_spec_is_stateless(const std::string& spec) {
+  const ParsedSpec p = parse_spec(spec);
+  if (!p.ok) {
+    return false;
+  }
+  return p.kind == StandardPolicyKind::kAlwaysMigrate ||
+         p.kind == StandardPolicyKind::kAlwaysRemote ||
+         p.kind == StandardPolicyKind::kDistance;
+}
+
 }  // namespace
 
 std::unique_ptr<DecisionPolicy> make_policy(const std::string& spec,
@@ -300,38 +314,13 @@ StandardPolicy StandardPolicy::make(const std::string& spec,
                                     const CostModel& cost) {
   constexpr std::string_view kCustomPrefix = "custom:";
   if (spec.rfind(kCustomPrefix, 0) == 0) {
-    const ParsedSpec p = parse_spec(spec.substr(kCustomPrefix.size()));
-    if (!p.ok) {
+    auto inner = make_policy(spec.substr(kCustomPrefix.size()), mesh, cost);
+    if (inner == nullptr) {
       auto known = standard_policy_specs();
       known.push_back("custom:<spec>");
       fail_unknown("policy", spec, known);
     }
-    // Bind the erased table to the CONCRETE scheme, not to the base
-    // interface: of<Scheme>'s thunks call the final class directly, so
-    // the "custom:" reference path the dispatch-equivalence matrix diffs
-    // against differs from static dispatch only at the indirect-call
-    // boundary, never in behaviour or per-access vtable traffic.
-    switch (p.kind) {
-      case StandardPolicyKind::kAlwaysMigrate:
-        return StandardPolicy(
-            Impl(ErasedPolicy::of(std::make_unique<AlwaysMigratePolicy>())));
-      case StandardPolicyKind::kAlwaysRemote:
-        return StandardPolicy(
-            Impl(ErasedPolicy::of(std::make_unique<AlwaysRemotePolicy>())));
-      case StandardPolicyKind::kDistance:
-        return StandardPolicy(Impl(ErasedPolicy::of(
-            std::make_unique<DistanceThresholdPolicy>(mesh, p.hops))));
-      case StandardPolicyKind::kHistory:
-        return StandardPolicy(Impl(ErasedPolicy::of(
-            std::make_unique<HistoryPolicy>(p.long_run, p.capacity))));
-      case StandardPolicyKind::kCostEstimate:
-        return StandardPolicy(
-            Impl(ErasedPolicy::of(std::make_unique<CostEstimatePolicy>(cost))));
-      case StandardPolicyKind::kCustom:
-        break;
-    }
-    EM2_ASSERT(false, "parse_spec admits only sealed kinds");
-    std::abort();  // unreachable
+    return custom(std::move(inner));
   }
   const ParsedSpec p = parse_spec(spec);
   if (!p.ok) {
@@ -364,9 +353,7 @@ StandardPolicy StandardPolicy::custom(
     std::unique_ptr<DecisionPolicy> policy) {
   EM2_ASSERT(policy != nullptr,
              "the kCustom escape hatch needs a non-null DecisionPolicy");
-  // Base-typed erasure: the caller's scheme is opaque here, so each thunk
-  // keeps the one unavoidable virtual hop.
-  return StandardPolicy(Impl(ErasedPolicy::of(std::move(policy))));
+  return StandardPolicy(Impl(std::move(policy)));
 }
 
 void StandardPolicy::validate_spec(const std::string& spec) {
@@ -399,7 +386,7 @@ std::string StandardPolicy::name() const {
     case 4:
       return std::get<4>(impl_).name();
     default:
-      return std::get<5>(impl_).name();
+      return std::get<5>(impl_)->name();
   }
 }
 
@@ -419,12 +406,12 @@ StandardPolicy StandardPolicy::fork_shard(std::uint32_t shard,
     case 4:
       return StandardPolicy(Impl(std::get<4>(impl_).fork_shard_twin()));
     default: {
-      std::optional<ErasedPolicy> forked =
-          std::get<5>(impl_).fork_shard(shard, count);
-      EM2_ASSERT(forked.has_value(),
+      std::unique_ptr<DecisionPolicy> forked =
+          std::get<5>(impl_)->fork_shard(shard, count);
+      EM2_ASSERT(forked != nullptr,
                  "custom policy is not shardable (fork_shard returned "
                  "nullptr); policy_spec_is_shardable rejects such specs");
-      return StandardPolicy(Impl(std::move(*forked)));
+      return StandardPolicy(Impl(std::move(forked)));
     }
   }
 }
@@ -481,29 +468,15 @@ std::vector<std::string> standard_policy_specs() {
           "history",        "cost-estimate"};
 }
 
-bool policy_spec_is_stateless(const std::string& spec) {
-  constexpr std::string_view kCustomPrefix = "custom:";
-  const std::string inner = spec.rfind(kCustomPrefix, 0) == 0
-                                ? spec.substr(kCustomPrefix.size())
-                                : spec;
-  const ParsedSpec p = parse_spec(inner);
-  if (!p.ok) {
-    return false;
-  }
-  return p.kind == StandardPolicyKind::kAlwaysMigrate ||
-         p.kind == StandardPolicyKind::kAlwaysRemote ||
-         p.kind == StandardPolicyKind::kDistance;
-}
-
 bool policy_spec_is_shardable(const std::string& spec) {
   constexpr std::string_view kCustomPrefix = "custom:";
   if (spec.rfind(kCustomPrefix, 0) == 0) {
-    // The erased wrapper forks through the virtual DecisionPolicy hook,
+    // The kCustom wrapper forks through the virtual DecisionPolicy hook,
     // which only the stateless schemes implement: a stateful scheme's
     // predictor state is opaque behind the escape hatch, so the engine
     // could neither move per-thread entries with a migrating thread nor
     // merge shared estimators at barriers.
-    return policy_spec_is_stateless(spec);
+    return policy_spec_is_stateless(spec.substr(kCustomPrefix.size()));
   }
   return parse_spec(spec).ok;
 }

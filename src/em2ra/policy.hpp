@@ -16,20 +16,17 @@
 // Dispatch: the decision runs once per memory access — the hottest call
 // in every EM2-RA engine — so the standard schemes form a SEALED set
 // (StandardPolicy below) that engines specialize on at compile time via
-// a one-shot visit hoisted out of the access loop; the virtual
-// DecisionPolicy interface is retained as the extension point behind the
-// kCustom escape hatch (spec "custom:<spec>", or StandardPolicy::custom
-// with any user-supplied DecisionPolicy), reached through a flat
-// type-erased function table (ErasedPolicy) rather than per-access
-// vtable dispatch.
+// a one-shot visit hoisted out of the access loop.  The virtual
+// DecisionPolicy interface is the extension point behind the kCustom
+// alternative (spec "custom:<spec>", or StandardPolicy::custom with any
+// user-supplied DecisionPolicy): one virtual call per decide/observe.
+// It is also the reference path the sealed dispatch is diffed against.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -314,98 +311,12 @@ class CostEstimatePolicy final : public DecisionPolicy {
   std::vector<ThreadState> state_;  // flat per-thread state, grown on demand
 };
 
-/// Flat type-erased dispatch table for the kCustom escape hatch.
-///
-/// The escape hatch used to store a bare unique_ptr<DecisionPolicy>, so
-/// the hot loop paid TWO virtual calls per access — decide() plus
-/// observe() — even when the wrapped object was one of the sealed schemes
-/// reached via "custom:<spec>".  This table erases the concrete type
-/// through plain function pointers instead: of<P>() instantiates thunks
-/// whose bodies name P's members directly, so a "custom:" wrapper around
-/// a sealed (final) scheme pays predictable indirect calls into
-/// devirtualized bodies — no vtable load on the access path.  A
-/// base-typed wrap (of<DecisionPolicy>, what StandardPolicy::custom does
-/// for user-supplied schemes) keeps exactly one virtual hop per entry
-/// point, which is still one fewer than the old deref-then-dispatch pair
-/// cost in practice because the thunk pointer itself is monomorphic per
-/// run.
-class ErasedPolicy {
- public:
-  /// Wraps `policy` with thunks bound to P.  When P is final the thunks
-  /// call its members through a qualified name (a direct call — for
-  /// members P does not override, that directly calls the inherited
-  /// DecisionPolicy default); otherwise each thunk makes the one
-  /// unavoidable virtual call.  `policy` must be non-null.
-  template <typename P>
-  static ErasedPolicy of(std::unique_ptr<P> policy) {
-    static_assert(std::is_base_of_v<DecisionPolicy, P>,
-                  "ErasedPolicy erases DecisionPolicy implementations");
-    ErasedPolicy e;
-    e.decide_ = [](DecisionPolicy* o, const DecisionQuery& q) {
-      if constexpr (std::is_final_v<P>) {
-        return static_cast<P*>(o)->P::decide(q);
-      } else {
-        return static_cast<P*>(o)->decide(q);
-      }
-    };
-    e.observe_ = [](DecisionPolicy* o, ThreadId thread, CoreId home,
-                    CoreId native) {
-      if constexpr (std::is_final_v<P>) {
-        static_cast<P*>(o)->P::observe(thread, home, native);
-      } else {
-        static_cast<P*>(o)->observe(thread, home, native);
-      }
-    };
-    e.name_ = [](const DecisionPolicy* o) {
-      if constexpr (std::is_final_v<P>) {
-        return static_cast<const P*>(o)->P::name();
-      } else {
-        return static_cast<const P*>(o)->name();
-      }
-    };
-    e.obj_ = std::move(policy);
-    return e;
-  }
-
-  RaDecision decide(const DecisionQuery& q) {
-    return decide_(obj_.get(), q);
-  }
-  void observe(ThreadId thread, CoreId home, CoreId native) {
-    observe_(obj_.get(), thread, home, native);
-  }
-  std::string name() const { return name_(obj_.get()); }
-  /// Relaxed-sync fork: delegates to the wrapped policy's virtual
-  /// fork_shard hook.  Disengaged when the inner policy is not shardable.
-  /// The fork is wrapped base-typed (one virtual hop per entry point),
-  /// exactly what StandardPolicy::custom builds.
-  std::optional<ErasedPolicy> fork_shard(std::uint32_t shard,
-                                         std::uint32_t count) const {
-    auto forked = obj_->fork_shard(shard, count);
-    if (forked == nullptr) {
-      return std::nullopt;
-    }
-    return ErasedPolicy::of<DecisionPolicy>(std::move(forked));
-  }
-
- private:
-  using DecideFn = RaDecision (*)(DecisionPolicy*, const DecisionQuery&);
-  using ObserveFn = void (*)(DecisionPolicy*, ThreadId, CoreId, CoreId);
-  using NameFn = std::string (*)(const DecisionPolicy*);
-
-  ErasedPolicy() = default;
-
-  std::unique_ptr<DecisionPolicy> obj_;
-  DecideFn decide_ = nullptr;
-  ObserveFn observe_ = nullptr;
-  NameFn name_ = nullptr;
-};
-
 /// The sealed set of standard schemes, in StandardPolicy's variant order.
-/// kCustom is the escape hatch: an arbitrary DecisionPolicy behind the
-/// ErasedPolicy flat table (the extension point and the equivalence-test
-/// reference path — "custom:<spec>" binds the table to the concrete
-/// sealed scheme, so it differs from static dispatch only in the
-/// indirect-call boundary, never in behaviour).
+/// kCustom is the escape hatch: an arbitrary DecisionPolicy called
+/// through its vtable (the extension point and the equivalence-test
+/// reference path — "custom:<spec>" wraps the scheme make_policy builds,
+/// so it differs from static dispatch only in the virtual call, never in
+/// behaviour).
 enum class StandardPolicyKind : std::uint8_t {
   kAlwaysMigrate = 0,
   kAlwaysRemote = 1,
@@ -426,25 +337,23 @@ enum class StandardPolicyKind : std::uint8_t {
 ///     for (const Access& a : trace) machine.access_hybrid(p, ...);
 ///   });
 ///
-/// The kCustom alternative hands the visitor an ErasedPolicy& instead, so
-/// the same loop instantiates once more against the flat function table —
-/// custom policies keep working through two non-virtual indirect calls
-/// per access (decide + observe thunks) instead of the old two vtable
-/// dispatches.
+/// The kCustom alternative hands the visitor a DecisionPolicy& instead,
+/// so the same loop instantiates once more against the virtual interface
+/// — one virtual call per decide() and per observe().
 class StandardPolicy {
  public:
   /// Parses a policy spec: the standard schemes of make_policy
   /// ("always-migrate" | "always-remote" | "distance:<hops>" | "history" |
   /// "history:<long_run>[:<capacity>]" | "cost-estimate"), or
   /// "custom:<spec>" to force the same scheme through the kCustom virtual
-  /// path (the retained reference the dispatch-equivalence tests diff
-  /// against).  Throws UnknownNameError for anything else.
+  /// path (custom(make_policy(spec)), the reference the dispatch-
+  /// equivalence tests diff against).  Throws UnknownNameError for
+  /// anything else.
   static StandardPolicy make(const std::string& spec, const Mesh& mesh,
                              const CostModel& cost);
 
-  /// Wraps a user-supplied scheme as the kCustom alternative (a
-  /// base-typed ErasedPolicy table: one virtual hop per entry point).
-  /// `policy` must be non-null (EM2_ASSERT).
+  /// Wraps a user-supplied scheme as the kCustom alternative (one virtual
+  /// call per entry point).  `policy` must be non-null (EM2_ASSERT).
   static StandardPolicy custom(std::unique_ptr<DecisionPolicy> policy);
 
   /// Parse-only entry check: throws UnknownNameError exactly when make()
@@ -462,14 +371,14 @@ class StandardPolicy {
   std::string name() const;
 
   /// One-shot static dispatch: invokes `f` with the concrete policy object
-  /// (or ErasedPolicy& for kCustom).  Written as a switch, not
+  /// (or DecisionPolicy& for kCustom).  Written as a switch, not
   /// std::visit, so every alternative is a direct call the optimizer can
   /// inline into the caller's loop.
   template <typename F>
   decltype(auto) visit(F&& f) {
     static_assert(std::variant_size_v<Impl> == 6,
                   "update this switch (and name()'s) when sealing a new "
-                  "scheme; the ErasedPolicy escape hatch must stay last");
+                  "scheme; the kCustom escape hatch must stay last");
     switch (impl_.index()) {
       case 0:
         return f(std::get<0>(impl_));
@@ -482,7 +391,7 @@ class StandardPolicy {
       case 4:
         return f(std::get<4>(impl_));
       default:
-        return f(std::get<5>(impl_));
+        return f(*std::get<5>(impl_));
     }
   }
 
@@ -525,7 +434,8 @@ class StandardPolicy {
  private:
   using Impl = std::variant<AlwaysMigratePolicy, AlwaysRemotePolicy,
                             DistanceThresholdPolicy, HistoryPolicy,
-                            CostEstimatePolicy, ErasedPolicy>;
+                            CostEstimatePolicy,
+                            std::unique_ptr<DecisionPolicy>>;
   explicit StandardPolicy(Impl impl) : impl_(std::move(impl)) {}
   Impl impl_;
 };
@@ -540,14 +450,6 @@ std::unique_ptr<DecisionPolicy> make_policy(const std::string& spec,
 
 /// The policy names make_policy understands, for CLI help and sweeps.
 std::vector<std::string> standard_policy_specs();
-
-/// True iff `spec` names a decision scheme with no mutable predictor state
-/// (always-migrate, always-remote, distance:<hops>; a "custom:" wrapper
-/// around one of those also qualifies).  Relaxed-sync sharding requires a
-/// stateless policy: per-shard policy instances would otherwise train on
-/// per-shard access subsequences and diverge from any single-policy run.
-/// False for unknown specs (validation reports those separately).
-bool policy_spec_is_stateless(const std::string& spec);
 
 /// True iff `spec` names a policy the relaxed-sync engine can
 /// shard-partition under the fork/merge contract: every sealed standard

@@ -22,8 +22,8 @@ MigrateRaSolution evaluate_policy_model_impl(const ModelTrace& trace,
   // This is a compile-time selection by policy type, not a user knob, and
   // it pays for itself: the generic decide-apply loop below produces the
   // same ratios but ran the bench_decision_schemes summary about 5%
-  // slower in median.  Every other scheme — and the erased/virtual paths,
-  // which reach here type-opaque — keeps the sequential loop.
+  // slower in median.  Every other scheme — and the kCustom virtual path,
+  // which reaches here type-opaque — keeps the sequential loop.
   if constexpr (std::is_same_v<Policy, AlwaysRemotePolicy>) {
     (void)policy;
     for (std::size_t k = 0; k < n; ++k) {
@@ -94,12 +94,6 @@ MigrateRaSolution evaluate_policy_model(const ModelTrace& trace,
   return policy.visit([&](auto& p) {
     return evaluate_policy_model_impl(trace, cost, p);
   });
-}
-
-MigrateRaSolution evaluate_policy_model(const ModelTrace& trace,
-                                        const CostModel& cost,
-                                        DecisionPolicy& policy) {
-  return evaluate_policy_model_impl(trace, cost, policy);
 }
 
 }  // namespace em2

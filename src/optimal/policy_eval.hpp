@@ -13,17 +13,13 @@
 
 namespace em2 {
 
-/// Walks the trace applying `policy` at every non-local access.  The
-/// sealed overload specializes the walk on the policy's concrete type
-/// (one visit per trace, no virtual call per access — the policy-zoo
-/// sweeps evaluate millions of model accesses per policy); the
-/// DecisionPolicy overload is the retained virtual path for custom
-/// schemes and dispatch-equivalence tests.
+/// Walks the trace applying `policy` at every non-local access.  The walk
+/// is specialized on the policy's concrete type (one visit per trace, no
+/// virtual call per access — the policy-zoo sweeps evaluate millions of
+/// model accesses per policy); the kCustom alternative walks it through
+/// the virtual DecisionPolicy interface.
 MigrateRaSolution evaluate_policy_model(const ModelTrace& trace,
                                         const CostModel& cost,
                                         StandardPolicy& policy);
-MigrateRaSolution evaluate_policy_model(const ModelTrace& trace,
-                                        const CostModel& cost,
-                                        DecisionPolicy& policy);
 
 }  // namespace em2

@@ -202,29 +202,4 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
 
 }  // namespace detail
 
-CounterSet merge_all(const std::vector<CounterSet>& shards) {
-  CounterSet total;
-  for (const CounterSet& s : shards) {
-    total.merge(s);
-  }
-  return total;
-}
-
-RunningStat merge_all(const std::vector<RunningStat>& shards) {
-  RunningStat total;
-  for (const RunningStat& s : shards) {
-    total.merge(s);
-  }
-  return total;
-}
-
-Histogram merge_all(const std::vector<Histogram>& shards) {
-  EM2_ASSERT(!shards.empty(), "merging an empty histogram shard list");
-  Histogram total(shards.front().max_tracked());
-  for (const Histogram& s : shards) {
-    total.merge(s);
-  }
-  return total;
-}
-
 }  // namespace em2::sweep

@@ -10,10 +10,7 @@
 // upper half of a peer's remainder — and collects results IN POINT ORDER:
 // the output is byte-identical to the serial loop no matter how many
 // workers run, how they interleave, or who stole what (determinism is
-// tested, not assumed).  Reductions across points go through the existing
-// merge APIs (RunningStat::merge, Histogram::merge, CounterSet::merge,
-// FastCounters::merge), mirroring the shard-and-merge pattern of parallel
-// graph engines.
+// tested, not assumed).
 #pragma once
 
 #include <atomic>
@@ -22,8 +19,6 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "util/stats.hpp"
 
 namespace em2::sweep {
 
@@ -87,11 +82,5 @@ auto run(std::size_t n, Fn&& fn, const Options& opts = {})
       n, [&](std::size_t i) { results[i] = fn(i); }, opts);
   return results;
 }
-
-/// Order-preserving reductions over per-point shards via the existing
-/// merge APIs.
-CounterSet merge_all(const std::vector<CounterSet>& shards);
-RunningStat merge_all(const std::vector<RunningStat>& shards);
-Histogram merge_all(const std::vector<Histogram>& shards);
 
 }  // namespace em2::sweep

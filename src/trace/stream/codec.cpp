@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "trace/stream/format.hpp"
 #include "trace/trace_io.hpp"
 
 namespace em2::em2s {
@@ -136,12 +137,6 @@ std::vector<std::uint8_t> Em2zCodec::decompress(
     fail("trailing bytes after the final token");
   }
   return out;
-}
-
-std::span<const ChunkCodec* const> builtin_codecs() {
-  static const Em2zCodec em2z;
-  static const ChunkCodec* const list[] = {&em2z};
-  return list;
 }
 
 }  // namespace em2::em2s

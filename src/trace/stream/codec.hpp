@@ -1,4 +1,6 @@
-// em2z: the built-in EM2S chunk codec (id 1).
+// em2z: the EM2S chunk codec (id 1), the only one besides id 0 (stored
+// verbatim).  TraceWriter compresses with it when Options::codec points at
+// an Em2zCodec; TraceStream decodes id-1 chunks with it unconditionally.
 //
 // A chunk's raw payload is already delta/varint coded, so general-purpose
 // entropy coding has little left to squeeze — but trace loops revisit the
@@ -30,25 +32,17 @@
 #include <span>
 #include <vector>
 
-#include "trace/stream/format.hpp"
-
 namespace em2::em2s {
 
-class Em2zCodec final : public ChunkCodec {
+class Em2zCodec {
  public:
+  /// Codec id stored in the chunk header of every em2z chunk.
   static constexpr std::uint8_t kId = 1;
-  std::uint8_t id() const override { return kId; }
   std::vector<std::uint8_t> compress(
-      std::span<const std::uint8_t> raw) const override;
+      std::span<const std::uint8_t> raw) const;
+  /// Produces exactly `raw_bytes` bytes or throws TraceFormatError.
   std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> stored,
-      std::size_t raw_bytes) const override;
+      std::span<const std::uint8_t> stored, std::size_t raw_bytes) const;
 };
-
-/// Codecs every TraceStream accepts without registration (currently just
-/// em2z), so a compressed file opens anywhere a verbatim one does.
-/// Caller-supplied Options::codecs are consulted first and may shadow a
-/// built-in id.
-std::span<const ChunkCodec* const> builtin_codecs();
 
 }  // namespace em2::em2s

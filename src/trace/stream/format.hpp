@@ -1,5 +1,5 @@
-// The EM2S on-disk trace format: byte-level layout, varint coding, CRC,
-// and the per-chunk compression hook.
+// The EM2S on-disk trace format: byte-level layout, varint coding and
+// CRC.
 //
 // EM2S is the repository's binary trace format.  Instead of one
 // monolithic per-thread record array (which would force the reader to
@@ -25,7 +25,8 @@
 // record varint(zigzag64(addr - prev_addr)) then varint((gap << 1) | op),
 // with prev_addr = 0 at each chunk start (chunks decode independently).
 // The *stored* payload is the raw payload run through the chunk's codec
-// (id 0 = stored verbatim); payload_crc covers the stored bytes.
+// (id 0 = stored verbatim, id 1 = em2z, codec.hpp; any other id is
+// rejected at open); payload_crc covers the stored bytes.
 //
 // Trust model: the trailer CRC authenticates the footer, and the footer's
 // chunk index repeats every chunk-header field — so a reader never has to
@@ -90,22 +91,5 @@ constexpr std::uint64_t zigzag_decode(std::uint64_t z) {
 
 /// Appends the LEB128 varint coding of `value` to `out`.
 void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value);
-
-/// Optional per-chunk compression: a codec transforms a chunk's raw
-/// payload into the stored payload and back.  Id 0 is reserved for
-/// "stored verbatim" and handled inline by the writer/reader; other ids
-/// are resolved through the codec list the caller passes in (no global
-/// registry — the reader only trusts codecs it was handed).  decompress
-/// must produce exactly `raw_bytes` bytes or throw.
-class ChunkCodec {
- public:
-  virtual ~ChunkCodec() = default;
-  /// Non-zero codec id stored in each chunk header.
-  virtual std::uint8_t id() const = 0;
-  virtual std::vector<std::uint8_t> compress(
-      std::span<const std::uint8_t> raw) const = 0;
-  virtual std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> stored, std::size_t raw_bytes) const = 0;
-};
 
 }  // namespace em2::em2s

@@ -247,21 +247,16 @@ class ThreadCursor final : public AccessCursor {
     records_done_ = 0;
     prev_addr_ = 0;
     if (c.codec != 0) {
-      // Compressed chunk: stage the stored payload whole, verify, then
-      // decode from the decompressed buffer (the codec hook trades the
-      // strict per-record budget for smaller files).
-      const em2s::ChunkCodec* codec_impl = stream_.codec_for(c.codec);
+      // em2z chunk (the only compressed id the index admits): stage the
+      // stored payload whole, verify, then decode from the decompressed
+      // buffer (compression trades the strict per-record budget for
+      // smaller files).  decompress yields exactly raw_bytes or throws.
       std::vector<std::uint8_t> stored(c.payload_bytes);
       read_at(payload_off, stored.data(), stored.size());
       if (em2s::crc32(stored) != c.payload_crc) {
         fail("chunk payload CRC mismatch" + where());
       }
-      raw_buf_ = codec_impl->decompress(stored, c.raw_bytes);
-      if (raw_buf_.size() != c.raw_bytes) {
-        fail("codec " + std::to_string(c.codec) + " produced " +
-             std::to_string(raw_buf_.size()) + " bytes, expected " +
-             std::to_string(c.raw_bytes) + where());
-      }
+      raw_buf_ = em2s::Em2zCodec{}.decompress(stored, c.raw_bytes);
       chunk_charge_ = stored.size() + raw_buf_.size();
       stream_.charge(chunk_charge_);
       direct_ = raw_buf_.data();
@@ -427,7 +422,7 @@ class ThreadCursor final : public AccessCursor {
 };
 
 TraceStream::TraceStream(const std::string& path, const Options& opts)
-    : path_(path), codecs_(opts.codecs) {
+    : path_(path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     fail("cannot open " + path);
@@ -547,8 +542,9 @@ TraceStream::TraceStream(const std::string& path, const Options& opts)
              " disagrees with raw size " + std::to_string(c.raw_bytes) +
              " for an uncompressed chunk" + where);
       }
-      if (c.codec != 0) {
-        (void)codec_for(c.codec);  // fails fast on unknown codec ids
+      if (c.codec != 0 && c.codec != em2s::Em2zCodec::kId) {
+        fail("unknown chunk codec id " + std::to_string(c.codec) +
+             " (EM2S knows 0 = verbatim and 1 = em2z)" + where);
       }
       records_sum += c.records;
       tm.chunks.push_back(c);
@@ -620,23 +616,6 @@ void TraceStream::set_stream_window(std::uint64_t bytes) const {
         std::to_string(kMinCursorBytes) + " bytes per cursor)");
   }
   window_.store(bytes, std::memory_order_relaxed);
-}
-
-const em2s::ChunkCodec* TraceStream::codec_for(std::uint8_t id) const {
-  for (const em2s::ChunkCodec* codec : codecs_) {
-    if (codec != nullptr && codec->id() == id) {
-      return codec;
-    }
-  }
-  // Built-in codecs need no registration (caller-supplied ones above may
-  // shadow them): an em2z file opens anywhere a verbatim one does.
-  for (const em2s::ChunkCodec* codec : em2s::builtin_codecs()) {
-    if (codec->id() == id) {
-      return codec;
-    }
-  }
-  fail("unknown chunk codec id " + std::to_string(id) +
-       " (neither built in nor registered with the reader)");
 }
 
 void TraceStream::charge(std::uint64_t bytes) const {

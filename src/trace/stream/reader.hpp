@@ -41,12 +41,6 @@ class TraceStream final : public TraceSource {
     /// Skip the mmap backend even where available (parity testing,
     /// diagnostics).
     bool force_istream = false;
-    /// Extra codecs accepted for compressed chunks (id != 0).  Pointees
-    /// must outlive the stream.  Built-in codecs (codec.hpp) are always
-    /// accepted; entries here are consulted first and may shadow a
-    /// built-in id.  A chunk whose id matches neither fails at open with
-    /// TraceFormatError.
-    std::vector<const em2s::ChunkCodec*> codecs;
   };
 
   /// Opens and validates `path` (header, trailer, footer CRC, full chunk
@@ -102,7 +96,6 @@ class TraceStream final : public TraceSource {
     std::vector<em2s::ChunkMeta> chunks;
   };
 
-  const em2s::ChunkCodec* codec_for(std::uint8_t id) const;
   void charge(std::uint64_t bytes) const;
   void release(std::uint64_t bytes) const;
 
@@ -111,7 +104,6 @@ class TraceStream final : public TraceSource {
   std::uint32_t version_ = 0;
   std::uint64_t total_accesses_ = 0;
   std::vector<ThreadMeta> threads_;
-  std::vector<const em2s::ChunkCodec*> codecs_;
 
   /// mmap backend state (null when the ifstream fallback is active).
   const std::uint8_t* map_ = nullptr;

@@ -19,8 +19,6 @@ TraceWriter::TraceWriter(const std::string& path, std::uint32_t block_bytes,
   EM2_ASSERT(opts_.chunk_bytes >= 64, "chunk target too small to batch");
   EM2_ASSERT(opts_.chunk_bytes <= em2s::kMaxChunkBytes,
              "chunk target above the reader's acceptance cap");
-  EM2_ASSERT(opts_.codec == nullptr || opts_.codec->id() != 0,
-             "codec id 0 is reserved for stored-verbatim payloads");
   threads_.resize(natives.size());
   for (std::size_t t = 0; t < natives.size(); ++t) {
     threads_[t].native = natives[t];
@@ -66,13 +64,11 @@ void TraceWriter::flush_chunk(std::size_t thread) {
     compressed = opts_.codec->compress(pt.raw);
     if (compressed.size() <= pt.raw.size()) {
       stored = &compressed;
-      codec = opts_.codec->id();
+      codec = em2s::Em2zCodec::kId;
     }
     // else: incompressible chunk (the codec's tokens only added
-    // overhead) — stored verbatim under codec id 0, so a codec can never
-    // make a file larger than the uncompressed one.  Size-preserving
-    // output keeps the codec's id: transforms like the test XOR codec
-    // are round-trips too, and the id is what routes their decode.
+    // overhead) — stored verbatim under codec id 0, so compression can
+    // never make a file larger than the uncompressed one.
   }
   em2s::ChunkMeta meta;
   meta.offset = file_offset_;

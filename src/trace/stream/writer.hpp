@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/stream/codec.hpp"
 #include "trace/stream/format.hpp"
 #include "trace/trace.hpp"
 #include "util/types.hpp"
@@ -26,9 +27,9 @@ class TraceWriter {
   struct Options {
     /// Flush a thread's chunk once its raw encoding reaches this size.
     std::uint32_t chunk_bytes = 64 * 1024;
-    /// Optional per-chunk compression; nullptr stores payloads verbatim
-    /// (codec id 0).  The pointee must outlive the writer.
-    const em2s::ChunkCodec* codec = nullptr;
+    /// Per-chunk em2z compression when set; nullptr stores payloads
+    /// verbatim (codec id 0).  The pointee must outlive the writer.
+    const em2s::Em2zCodec* codec = nullptr;
   };
 
   /// Opens `path` for writing and commits the header.  `natives[t]` is

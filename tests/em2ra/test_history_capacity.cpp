@@ -206,8 +206,9 @@ TEST(HistoryCapacity, CapacityPMatchesUnbounded) {
     t.homes.push_back(static_cast<CoreId>(rng.next_below(16)));
     t.ops.push_back(MemOp::kRead);
   }
-  HistoryPolicy unbounded(2, 0);
-  HistoryPolicy full_table(2, 16);
+  StandardPolicy unbounded = StandardPolicy::make("history:2", mesh, cost);
+  StandardPolicy full_table =
+      StandardPolicy::make("history:2:16", mesh, cost);
   const auto a = evaluate_policy_model(t, cost, unbounded);
   const auto b = evaluate_policy_model(t, cost, full_table);
   EXPECT_EQ(a.total_cost, b.total_cost);

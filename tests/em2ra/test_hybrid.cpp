@@ -84,7 +84,7 @@ TEST(HybridSim, AlwaysMigrateReproducesPureEm2) {
   const CostModel cost(mesh, CostModelParams{});
   Placement placement = Placement::first_touch(ts, mesh.num_cores());
 
-  AlwaysMigratePolicy policy;
+  StandardPolicy policy = StandardPolicy::make("always-migrate", mesh, cost);
   const HybridRunReport hybrid =
       run_em2ra(ts, placement, mesh, cost, Em2Params{}, policy);
   const Em2RunReport pure =
@@ -103,7 +103,7 @@ TEST(HybridSim, AlwaysRemoteNeverMigrates) {
   const Mesh mesh = Mesh::near_square(8);
   const CostModel cost(mesh, CostModelParams{});
   Placement placement = Placement::first_touch(ts, mesh.num_cores());
-  AlwaysRemotePolicy policy;
+  StandardPolicy policy = StandardPolicy::make("always-remote", mesh, cost);
   const HybridRunReport r =
       run_em2ra(ts, placement, mesh, cost, Em2Params{}, policy);
   EXPECT_EQ(r.em2.counters.get("migrations"), 0u);
@@ -147,9 +147,9 @@ TEST(HybridSim, HybridBeatsBothPolesOnBimodalRuns) {
   const CostModel cost(mesh, CostModelParams{});
   Placement placement = Placement::first_touch(ts, mesh.num_cores());
 
-  AlwaysMigratePolicy mig;
-  AlwaysRemotePolicy ra;
-  HistoryPolicy hist(2);
+  StandardPolicy mig = StandardPolicy::make("always-migrate", mesh, cost);
+  StandardPolicy ra = StandardPolicy::make("always-remote", mesh, cost);
+  StandardPolicy hist = StandardPolicy::make("history:2", mesh, cost);
   const Cost c_mig = run_em2ra(ts, placement, mesh, cost, Em2Params{}, mig)
                          .em2.total_thread_cost;
   const Cost c_ra = run_em2ra(ts, placement, mesh, cost, Em2Params{}, ra)

@@ -44,9 +44,10 @@ TEST_P(EveryWorkload, DpOptimalLowerBoundsEveryPolicy) {
     const Cost opt = solve_optimal_migrate_ra(mt, sys.cost_model())
                          .total_cost;
     for (const auto& spec : standard_policy_specs()) {
-      auto policy = make_policy(spec, sys.mesh(), sys.cost_model());
+      StandardPolicy policy =
+          StandardPolicy::make(spec, sys.mesh(), sys.cost_model());
       const Cost got =
-          evaluate_policy_model(mt, sys.cost_model(), *policy).total_cost;
+          evaluate_policy_model(mt, sys.cost_model(), policy).total_cost;
       ASSERT_GE(got, opt) << GetParam() << " thread " << thread.thread()
                           << " policy " << spec;
     }

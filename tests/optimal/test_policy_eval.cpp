@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/rng.hpp"
 
 namespace em2 {
@@ -20,33 +22,45 @@ ModelTrace random_trace(std::int32_t cores, int length,
   return t;
 }
 
+// Both pole policies run in both forms: the sealed one takes
+// evaluate_policy_model's single-pass shortcut, the "custom:" one the
+// generic decide-apply loop, so each path is pinned to the hand sum.
 TEST(PolicyEval, AlwaysMigrateMatchesHandComputation) {
-  const CostModel m(Mesh(2, 2), CostModelParams{});
+  const Mesh mesh(2, 2);
+  const CostModel m(mesh, CostModelParams{});
   ModelTrace t;
   t.start = 0;
   t.homes = {1, 1, 0};
   t.ops = {MemOp::kRead, MemOp::kRead, MemOp::kRead};
-  AlwaysMigratePolicy policy;
-  const auto sol = evaluate_policy_model(t, m, policy);
-  EXPECT_EQ(sol.total_cost, m.migration(0, 1) + m.migration(1, 0));
-  EXPECT_EQ(sol.migrations, 2u);
-  EXPECT_EQ(sol.remote_accesses, 0u);
-  EXPECT_EQ(sol.actions[1], AccessAction::kLocal);
+  for (const char* spec : {"always-migrate", "custom:always-migrate"}) {
+    StandardPolicy policy = StandardPolicy::make(spec, mesh, m);
+    const auto sol = evaluate_policy_model(t, m, policy);
+    EXPECT_EQ(sol.total_cost, m.migration(0, 1) + m.migration(1, 0))
+        << spec;
+    EXPECT_EQ(sol.migrations, 2u) << spec;
+    EXPECT_EQ(sol.remote_accesses, 0u) << spec;
+    EXPECT_EQ(sol.actions[1], AccessAction::kLocal) << spec;
+  }
 }
 
 TEST(PolicyEval, AlwaysRemoteMatchesHandComputation) {
-  const CostModel m(Mesh(2, 2), CostModelParams{});
+  const Mesh mesh(2, 2);
+  const CostModel m(mesh, CostModelParams{});
   ModelTrace t;
   t.start = 0;
   t.homes = {1, 3, 0};
   t.ops = {MemOp::kRead, MemOp::kWrite, MemOp::kRead};
-  AlwaysRemotePolicy policy;
-  const auto sol = evaluate_policy_model(t, m, policy);
-  EXPECT_EQ(sol.total_cost, m.remote_access(0, 1, MemOp::kRead) +
-                                m.remote_access(0, 3, MemOp::kWrite));
-  EXPECT_EQ(sol.migrations, 0u);
-  EXPECT_EQ(sol.remote_accesses, 2u);
-  EXPECT_EQ(sol.actions[2], AccessAction::kLocal);  // never left core 0
+  for (const char* spec : {"always-remote", "custom:always-remote"}) {
+    StandardPolicy policy = StandardPolicy::make(spec, mesh, m);
+    const auto sol = evaluate_policy_model(t, m, policy);
+    EXPECT_EQ(sol.total_cost, m.remote_access(0, 1, MemOp::kRead) +
+                                  m.remote_access(0, 3, MemOp::kWrite))
+        << spec;
+    EXPECT_EQ(sol.migrations, 0u) << spec;
+    EXPECT_EQ(sol.remote_accesses, 2u) << spec;
+    // never left core 0
+    EXPECT_EQ(sol.actions[2], AccessAction::kLocal) << spec;
+  }
 }
 
 // The model's defining property: no policy can beat the DP optimum.
@@ -58,9 +72,8 @@ TEST_P(PolicyUpperBound, OptimalDominatesAllPolicies) {
   const ModelTrace t = random_trace(16, 400, GetParam());
   const auto opt = solve_optimal_migrate_ra(t, m);
   for (const auto& spec : standard_policy_specs()) {
-    auto policy = make_policy(spec, mesh, m);
-    ASSERT_NE(policy, nullptr);
-    const auto got = evaluate_policy_model(t, m, *policy);
+    StandardPolicy policy = StandardPolicy::make(spec, mesh, m);
+    const auto got = evaluate_policy_model(t, m, policy);
     EXPECT_GE(got.total_cost, opt.total_cost) << spec;
   }
 }
@@ -72,7 +85,7 @@ TEST(PolicyEval, LocationsConsistentWithActions) {
   const Mesh mesh(4, 4);
   const CostModel m(mesh, CostModelParams{});
   const ModelTrace t = random_trace(16, 200, 42);
-  DistanceThresholdPolicy policy(mesh, 3);
+  StandardPolicy policy = StandardPolicy::make("distance:3", mesh, m);
   const auto sol = evaluate_policy_model(t, m, policy);
   CoreId at = t.start;
   for (std::size_t k = 0; k < t.homes.size(); ++k) {
@@ -104,7 +117,7 @@ TEST(PolicyEval, CostEstimateTracksNearOptimalOnUniformRuns) {
     }
   }
   const auto opt = solve_optimal_migrate_ra(t, m);
-  CostEstimatePolicy policy(m);
+  StandardPolicy policy = StandardPolicy::make("cost-estimate", mesh, m);
   const auto got = evaluate_policy_model(t, m, policy);
   EXPECT_LE(got.total_cost, opt.total_cost * 3);
 }

@@ -175,42 +175,6 @@ TEST(Sweep, ThreadedSimulationSweepMatchesSerialExactly) {
   }
 }
 
-// Shard-and-merge over the runner: merged counter totals equal the
-// sequential accumulation bit-for-bit.
-TEST(Sweep, MergedCounterShardsEqualSequentialTotals) {
-  SystemConfig cfg;
-  cfg.threads = 8;
-  const System sys(cfg);
-
-  auto shard = [&](std::size_t i) {
-    workload::GeometricRunsParams p;
-    p.threads = 8;
-    p.accesses_per_thread = 300;
-    p.mean_run_length = 1.0 + static_cast<double>(i);
-    p.remote_fraction = 0.5;
-    const TraceSet traces = workload::make_geometric_runs(p);
-    const RunReport s = sys.run(traces, {.arch = MemArch::kEm2});
-    CounterSet c;
-    c.inc("accesses", s.accesses);
-    c.inc("migrations", s.migrations);
-    c.inc("evictions", s.evictions);
-    return c;
-  };
-
-  const auto shards =
-      sweep::run(6, shard, sweep::Options{.num_threads = 3});
-  const CounterSet merged = sweep::merge_all(shards);
-
-  CounterSet sequential;
-  for (std::size_t i = 0; i < 6; ++i) {
-    sequential.merge(shard(i));
-  }
-  ASSERT_EQ(merged.all().size(), sequential.all().size());
-  for (const auto& [name, value] : sequential.all()) {
-    EXPECT_EQ(merged.get(name), value) << name;
-  }
-}
-
 TEST(Sweep, ProgressReportsEveryPointInOrderWhenSerial) {
   std::vector<std::pair<std::size_t, std::size_t>> calls;
   sweep::Options opts;

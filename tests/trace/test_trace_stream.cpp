@@ -1,7 +1,7 @@
 // The EM2S streaming trace frontend: bit-identical TraceSet round-trips
 // (every registry workload, extreme addresses, 32-bit gaps), bounded-
-// memory cursor accounting, mmap/istream backend parity, the per-chunk
-// codec hook, and the full hostile-input matrix — truncation at every
+// memory cursor accounting, mmap/istream backend parity, em2z chunks,
+// and the full hostile-input matrix — truncation at every
 // offset, corrupt varints, CRC mismatches, and every field a footer or
 // chunk header can lie about, each rejected with a TraceFormatError that
 // names the defect (the PR-6 hardening contract extended to EM2S).
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/stream/codec.hpp"
 #include "trace/stream/convert.hpp"
 #include "trace/stream/format.hpp"
 #include "trace/stream/reader.hpp"
@@ -263,61 +264,33 @@ TEST(TraceStream, TraceSetViewsWithoutCharging) {
 }
 
 // ---------------------------------------------------------------------
-// The codec hook.
-
-/// Toy codec: XOR with a constant (size-preserving, trivially
-/// invertible) — enough to prove the id routing, the stored-vs-raw CRC
-/// split, and the decompression size check.
-class XorCodec final : public em2s::ChunkCodec {
- public:
-  std::uint8_t id() const override { return 7; }
-  std::vector<std::uint8_t> compress(
-      std::span<const std::uint8_t> raw) const override {
-    return transform(raw);
-  }
-  std::vector<std::uint8_t> decompress(
-      std::span<const std::uint8_t> stored,
-      std::size_t /*raw_bytes*/) const override {
-    return transform(stored);
-  }
-
- private:
-  static std::vector<std::uint8_t> transform(
-      std::span<const std::uint8_t> bytes) {
-    std::vector<std::uint8_t> out(bytes.begin(), bytes.end());
-    for (std::uint8_t& b : out) {
-      b ^= 0xA5u;
-    }
-    return out;
-  }
-};
+// em2z chunks.
 
 TEST(TraceStream, CodecRoundTripsThroughBothBackends) {
-  const std::string path = tmp_path("codec.em2s");
-  const XorCodec codec;
-  const TraceSet original = sample_traces();
+  // A strided loop: its varint bytes repeat, so em2z shrinks every chunk
+  // and the file really carries codec id 1.
+  TraceSet original(64);
+  ThreadTrace t0(0, 0);
+  for (int i = 0; i < 4000; ++i) {
+    t0.append(0x1000 + static_cast<Addr>(i % 16) * 64,
+              i % 3 == 0 ? MemOp::kWrite : MemOp::kRead, 1);
+  }
+  original.add_thread(std::move(t0));
+  const std::string plain = tmp_path("codec_plain.em2s");
+  const std::string packed = tmp_path("codec.em2s");
+  ASSERT_TRUE(write_trace_stream(plain, original));
+  const em2s::Em2zCodec em2z;
   TraceWriter::Options wopts;
-  wopts.codec = &codec;
-  ASSERT_TRUE(write_trace_stream(path, original, wopts));
+  wopts.codec = &em2z;
+  ASSERT_TRUE(write_trace_stream(packed, original, wopts));
+  EXPECT_LT(TraceStream(packed).file_bytes(),
+            TraceStream(plain).file_bytes());
   TraceStream::Options ropts;
-  ropts.codecs = {&codec};
-  EXPECT_TRUE(equal_traces(original, read_trace_stream(path, ropts)));
+  EXPECT_TRUE(equal_traces(original, read_trace_stream(packed, ropts)));
   ropts.force_istream = true;
-  EXPECT_TRUE(equal_traces(original, read_trace_stream(path, ropts)));
-  std::remove(path.c_str());
-}
-
-TEST(TraceStream, UnknownCodecIdIsRejectedUpFront) {
-  const std::string path = tmp_path("codec_unknown.em2s");
-  const XorCodec codec;
-  TraceWriter::Options wopts;
-  wopts.codec = &codec;
-  ASSERT_TRUE(write_trace_stream(path, sample_traces(), wopts));
-  // The ctor walks the chunk index and refuses ids it has no codec for —
-  // before any cursor ever touches a payload.
-  expect_defect([&] { (void)read_trace_stream(path); },
-                "unknown chunk codec id 7");
-  std::remove(path.c_str());
+  EXPECT_TRUE(equal_traces(original, read_trace_stream(packed, ropts)));
+  std::remove(plain.c_str());
+  std::remove(packed.c_str());
 }
 
 // ---------------------------------------------------------------------
@@ -348,6 +321,7 @@ struct MiniSpec {
   std::optional<std::uint32_t> crc;             // default: true CRC
   std::optional<std::uint32_t> header_records;  // chunk-header-only lie
   std::optional<std::uint64_t> footer_total;    // default: records
+  std::uint8_t codec = 0;                       // header and footer
   bool flip_footer_byte = false;
 };
 
@@ -367,7 +341,7 @@ std::string build_mini(const MiniSpec& s) {
   file.put<std::uint32_t>(s.header_records.value_or(s.records));
   file.put<std::uint32_t>(static_cast<std::uint32_t>(s.payload.size()));
   file.put<std::uint32_t>(raw);
-  file.put<std::uint8_t>(0);  // codec
+  file.put<std::uint8_t>(s.codec);
   file.put<std::uint32_t>(crc);
   file.bytes(s.payload.data(), s.payload.size());
   const std::uint64_t footer_offset = file.data.size();
@@ -380,7 +354,7 @@ std::string build_mini(const MiniSpec& s) {
   footer.put<std::uint32_t>(s.records);
   footer.put<std::uint32_t>(static_cast<std::uint32_t>(s.payload.size()));
   footer.put<std::uint32_t>(raw);
-  footer.put<std::uint8_t>(0);
+  footer.put<std::uint8_t>(s.codec);
   footer.put<std::uint32_t>(crc);
   const std::uint32_t footer_crc = em2s::crc32(
       {reinterpret_cast<const std::uint8_t*>(footer.data.data()),
@@ -424,6 +398,19 @@ TEST(TraceStream, MiniFileBuilderProducesAValidStream) {
   ASSERT_EQ(loaded.thread(0).size(), 2u);
   EXPECT_EQ(loaded.thread(0)[0], records[0]);
   EXPECT_EQ(loaded.thread(0)[1], records[1]);
+  std::remove(path.c_str());
+}
+
+TEST(TraceStream, UnknownCodecIdIsRejectedUpFront) {
+  // A well-formed file whose chunk names codec id 7: the ctor walks the
+  // chunk index and refuses it before any cursor touches a payload.
+  MiniSpec s;
+  s.payload = encode_records({{0x1000, MemOp::kRead, 0}});
+  s.codec = 7;
+  const std::string path = tmp_path("codec_unknown.em2s");
+  write_file(path, build_mini(s));
+  expect_defect([&] { (void)read_trace_stream(path); },
+                "unknown chunk codec id 7");
   std::remove(path.c_str());
 }
 
