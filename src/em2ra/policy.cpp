@@ -275,12 +275,9 @@ ParsedSpec parse_spec(const std::string& spec) {
 /// unknown specs.
 bool policy_spec_is_stateless(const std::string& spec) {
   const ParsedSpec p = parse_spec(spec);
-  if (!p.ok) {
-    return false;
-  }
-  return p.kind == StandardPolicyKind::kAlwaysMigrate ||
-         p.kind == StandardPolicyKind::kAlwaysRemote ||
-         p.kind == StandardPolicyKind::kDistance;
+  return p.ok && (p.kind == StandardPolicyKind::kAlwaysMigrate ||
+                  p.kind == StandardPolicyKind::kAlwaysRemote ||
+                  p.kind == StandardPolicyKind::kDistance);
 }
 
 }  // namespace
