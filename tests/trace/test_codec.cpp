@@ -164,8 +164,8 @@ TEST(Em2zCodec, RejectsHostileTokenStreams) {
 // File-level contract.
 
 TEST(Em2zCodec, CompressedFileOpensWithoutRegistration) {
-  // em2z is a builtin: a compressed EM2S file round-trips through a
-  // reader that was never handed any codec, on both backends.
+  // em2z is built in: a compressed EM2S file round-trips through a
+  // default-constructed reader, on both backends.
   const std::string path = tmp_path("builtin.em2s");
   const auto traces = workload::make_by_name("ocean", 8, 1, 7);
   ASSERT_TRUE(traces.has_value());
