@@ -280,6 +280,12 @@ bool policy_spec_is_stateless(const std::string& spec) {
                   p.kind == StandardPolicyKind::kDistance);
 }
 
+[[noreturn]] void fail_unknown_policy(const std::string& spec) {
+  auto known = standard_policy_specs();
+  known.push_back("custom:<spec>");
+  fail_unknown("policy", spec, known);
+}
+
 }  // namespace
 
 std::unique_ptr<DecisionPolicy> make_policy(const std::string& spec,
@@ -313,17 +319,13 @@ StandardPolicy StandardPolicy::make(const std::string& spec,
   if (spec.rfind(kCustomPrefix, 0) == 0) {
     auto inner = make_policy(spec.substr(kCustomPrefix.size()), mesh, cost);
     if (inner == nullptr) {
-      auto known = standard_policy_specs();
-      known.push_back("custom:<spec>");
-      fail_unknown("policy", spec, known);
+      fail_unknown_policy(spec);
     }
     return custom(std::move(inner));
   }
   const ParsedSpec p = parse_spec(spec);
   if (!p.ok) {
-    auto known = standard_policy_specs();
-    known.push_back("custom:<spec>");
-    fail_unknown("policy", spec, known);
+    fail_unknown_policy(spec);
   }
   switch (p.kind) {
     case StandardPolicyKind::kAlwaysMigrate:
@@ -359,9 +361,7 @@ void StandardPolicy::validate_spec(const std::string& spec) {
   const std::string inner =
       is_custom ? spec.substr(kCustomPrefix.size()) : spec;
   if (!parse_spec(inner).ok) {
-    auto known = standard_policy_specs();
-    known.push_back("custom:<spec>");
-    fail_unknown("policy", spec, known);
+    fail_unknown_policy(spec);
   }
 }
 
