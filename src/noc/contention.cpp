@@ -119,10 +119,13 @@ std::array<VnetLoad, vnet::kNumVnets> analyze_offered_load(
 
 void prepare_calibration_events(std::vector<TrafficEvent>& events,
                                 std::uint64_t max_packets) {
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TrafficEvent& a, const TrafficEvent& b) {
-                     return a.when < b.when;
-                   });
+  const auto by_time = [](const TrafficEvent& a, const TrafficEvent& b) {
+    return a.when < b.when;
+  };
+  // A capped recorder's events arrive sorted: skip the sort's scratch.
+  if (!std::is_sorted(events.begin(), events.end(), by_time)) {
+    std::stable_sort(events.begin(), events.end(), by_time);
+  }
   if (events.size() > max_packets) {
     events.resize(static_cast<std::size_t>(max_packets));
   }

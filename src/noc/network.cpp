@@ -35,6 +35,7 @@ Network::Network(const Mesh& mesh, const NetworkParams& params)
   vnets_ = static_cast<std::uint32_t>(params_.num_vnets);
   candidates_ = static_cast<std::uint32_t>(kNumDirections) * vnets_;
   depth_ = static_cast<std::uint32_t>(params_.vc_depth);
+  stride_ = 2 + static_cast<std::size_t>(depth_);
   EM2_ASSERT(candidates_ <= 64,
              "per-router occupancy mask holds at most 64 (port, vnet) "
              "candidates");
@@ -42,63 +43,44 @@ Network::Network(const Mesh& mesh, const NetworkParams& params)
   for (std::uint32_t port = 0; port < kNumDirections; ++port) {
     spread_ |= std::uint64_t{1} << (port * vnets_);
   }
+  const std::ptrdiff_t width = mesh_.width();
+  for (int out = 1; out < kNumDirections; ++out) {
+    const auto dir = static_cast<Direction>(out);
+    step_to_[out] = dir == Direction::kEast    ? 1
+                    : dir == Direction::kWest  ? -1
+                    : dir == Direction::kNorth ? -width
+                                               : width;
+    down_cand_[out] = static_cast<std::uint32_t>(arrival_port(dir)) * vnets_;
+  }
+  for (std::uint32_t c = 0; c < candidates_; ++c) {
+    cand_vnet_[c] = static_cast<std::uint8_t>(c % vnets_);
+  }
   const auto nodes = static_cast<std::size_t>(mesh_.num_cores());
   const std::size_t fifos = nodes * candidates_;
-  const std::size_t outputs = nodes * static_cast<std::size_t>(kNumDirections);
-  neighbour_.assign(outputs, kNoCore);
-  down_fifo_.assign(outputs, 0);
-  down_cand_.assign(outputs, 0);
-  for (CoreId node = 0; node < mesh_.num_cores(); ++node) {
-    for (int out = 0; out < kNumDirections; ++out) {
-      const auto dir = static_cast<Direction>(out);
-      const CoreId next = mesh_.neighbor(node, dir);
-      const std::size_t o =
-          static_cast<std::size_t>(node) * kNumDirections +
-          static_cast<std::size_t>(out);
-      neighbour_[o] = next;
-      if (next != kNoCore && dir != Direction::kLocal) {
-        const int port = arrival_port(dir);
-        down_fifo_[o] = fifo_index(next, port, 0);
-        down_cand_[o] = static_cast<std::uint32_t>(port) * vnets_;
-      }
+  routers_.assign(nodes, Router{});
+  units_.resize(fifos * stride_);
+  for (std::size_t fi = 0; fi < fifos; ++fi) {
+    units_[fi * stride_].ring = Ring{};
+    units_[fi * stride_ + 1].link_flits = 0;
+    for (std::uint32_t k = 0; k < depth_; ++k) {
+      slot(fi, k) = Flit{0, false, false, 0};
     }
   }
-  cand_vnet_.resize(candidates_);
-  for (std::uint32_t c = 0; c < candidates_; ++c) {
-    cand_vnet_[c] = c % vnets_;
-  }
-  rings_.assign(fifos, Ring{});
-  slots_.assign(fifos * depth_, Flit{});
-  front_out_.assign(fifos, 0);
-  link_flits_.assign(fifos, 0);
   source_.assign(nodes * vnets_, SourceQueue{});
-  occupancy_.assign(nodes, 0);
-  heads_.assign(nodes, 0);
-  full_.assign(nodes, 0);
-  fresh_.assign(nodes, 0);
-  locks_.assign(nodes, 0);
-  want_.assign(outputs, 0);
-  rr_.assign(outputs, 0);
   latency_.resize(vnets_);
 }
 
-void Network::set_front_out(std::size_t node, std::size_t fi,
-                            std::uint32_t cand, std::uint32_t out) noexcept {
-  front_out_[fi] = static_cast<std::uint8_t>(out);
-  want_[node * kNumDirections + out] |= std::uint64_t{1} << cand;
-}
-
-Network::Flit Network::front(std::size_t node,
-                             std::uint32_t cand) const noexcept {
+EM2_ALWAYS_INLINE Network::Flit Network::front(
+    std::size_t node, std::uint32_t cand) const noexcept {
   if (cand < vnets_) {
     // Injection queue (port 0, candidate = vnet): the front packet's
     // next unsent flit, derived.
     const SourceQueue& q = source_[node * vnets_ + cand];
     return Flit{q.first, q.sent == 0,
-                q.sent == packets_[q.first].packet.flits - 1};
+                q.sent == packets_[q.first].packet.flits - 1, 0};
   }
-  const std::size_t fi = node * candidates_ + cand;
-  return slots_[fi * depth_ + rings_[fi].start];
+  const std::size_t fi = fifo_index(node, cand);
+  return slot(fi, ring(fi).start);
 }
 
 void Network::inject(const Packet& packet) {
@@ -112,10 +94,12 @@ void Network::inject(const Packet& packet) {
   if (slot != kNone) {
     free_packet_ = packets_[slot].next;
     packets_[slot] = PacketState{packet, now_, kNone};
+    dst_[slot] = mesh_.coord_of(packet.dst);
   } else {
     EM2_ASSERT(packets_.size() < kNone, "too many packets in flight");
     slot = static_cast<std::uint32_t>(packets_.size());
     packets_.push_back(PacketState{packet, now_, kNone});
+    dst_.push_back(mesh_.coord_of(packet.dst));
   }
   ++in_flight_;
   // The source queue is unbounded (a processor-side send queue feeding
@@ -128,91 +112,92 @@ void Network::inject(const Packet& packet) {
   if (q.first == kNone) {
     q.first = slot;
     q.sent = 0;
-    occupancy_[node] |= std::uint64_t{1} << cand;
-    heads_[node] |= std::uint64_t{1} << cand;
-    set_front_out(node, node * candidates_ + cand, cand,
-                  route(node, packet.dst));
+    Router& r = routers_[node];
+    r.heads |= std::uint64_t{1} << cand;
+    r.want[route(node, slot)] |= std::uint64_t{1} << cand;
   } else {
     packets_[q.last].next = slot;
   }
   q.last = slot;
 }
 
-bool Network::grantable(std::size_t node, std::uint32_t out,
-                        std::uint32_t cand) const {
+bool Network::grantable(std::size_t node, std::uint64_t fresh,
+                        std::uint32_t out, std::uint32_t cand) const {
   const std::uint64_t bit = std::uint64_t{1} << cand;
-  const std::size_t fi = node * candidates_ + cand;
+  const std::size_t fi = fifo_index(node, cand);
   const bool empty = cand < vnets_
                          ? source_[node * vnets_ + cand].first == kNone
-                         : rings_[fi].count == 0;
-  if (empty || (popped_ & bit) != 0 || (fresh_[node] & bit) != 0) {
+                         : ring(fi).count == 0;
+  if (empty || ((popped_ | fresh) & bit) != 0) {
     return false;
   }
+  // Heads choose their output by XY routing; body/tail flits follow the
+  // lock their head acquired, which is the same output.
   const Flit flit = front(node, cand);
+  if (route(node, flit.packet) != out) {
+    return false;
+  }
+  // Heads must acquire the (output, vnet) wormhole lock.
   const std::uint32_t vn = cand_vnet_[cand];
-  if (flit.head) {
-    // Heads choose their output by XY routing and must acquire the
-    // (output, vnet) wormhole lock.
-    if (route(node, packets_[flit.packet].packet.dst) != out ||
-        (locks_[node] >> (out * vnets_ + vn) & 1) != 0) {
-      return false;
-    }
-  } else if (front_out_[fi] != out) {
-    return false;  // body/tail flits follow the lock their head acquired
+  if (flit.head && (routers_[node].locks >> (out * vnets_ + vn) & 1) != 0) {
+    return false;
   }
   // Downstream space (ejection is an infinite sink).
-  const std::size_t o = node * kNumDirections + out;
-  return out == 0 || rings_[down_fifo_[o] + vn].count < depth_;
+  if (out == 0) {
+    return true;
+  }
+  const auto next = static_cast<std::size_t>(
+      static_cast<std::ptrdiff_t>(node) + step_to_[out]);
+  return ring(fifo_index(next, down_cand_[out] + vn)).count < depth_;
 }
 
-void Network::grant(std::size_t node, std::uint32_t out,
-                    std::uint32_t cand) {
+EM2_ALWAYS_INLINE void Network::grant(std::size_t node, std::uint32_t out,
+                                      std::uint32_t cand) {
   const std::uint64_t bit = std::uint64_t{1} << cand;
-  const std::size_t fi = node * candidates_ + cand;
-  const std::size_t o = node * kNumDirections + out;
+  const std::size_t fi = fifo_index(node, cand);
   const std::uint32_t vn = cand_vnet_[cand];
   const std::uint32_t lock = out * vnets_ + vn;
-  const Flit flit = front(node, cand);
+  Router& r = routers_[node];
+  Flit flit;
 
-  // Pop.  The front's want bit lives in THIS output's mask by
-  // construction.
+  // Pop, and find the output the flit behind wants: its packet's XY
+  // route, which is a fresh head's own route after a tail and the output
+  // its head locked after a head or body.  The front's want bit lives in
+  // THIS output's mask by construction.
   popped_ |= bit;
   any_movement_ = true;
-  want_[o] &= ~bit;
+  r.want[out] &= ~bit;
   bool drained = false;
+  std::uint32_t behind_out = 0;
   if (cand < vnets_) {
     SourceQueue& q = source_[node * vnets_ + cand];
+    flit = front(node, cand);
     if (flit.tail) {
       q.first = packets_[flit.packet].next;
       q.sent = 0;
-      drained = q.first == kNone;
     } else {
       ++q.sent;
     }
+    drained = q.first == kNone;
+    behind_out = route(node, drained ? flit.packet : q.first);
   } else {
-    Ring& r = rings_[fi];
-    r.start = r.start + 1 == depth_ ? 0 : r.start + 1;
-    --r.count;
-    drained = r.count == 0;
-    full_[node] &= ~bit;
+    Ring& q = ring(fi);
+    flit = slot(fi, q.start);
+    q.start = q.start + 1 == depth_ ? 0 : q.start + 1;
+    --q.count;
+    drained = q.count == 0;
+    // A drained ring's stale slot still names a valid output.
+    behind_out = slot(fi, q.start).out;
+    r.full &= ~bit;
   }
-  if (drained) {
-    occupancy_[node] &= ~bit;
-    heads_[node] &= ~bit;
-  } else if (flit.tail) {
-    // A fresh head reached the front: it wants its own XY route.
-    heads_[node] |= bit;
-    set_front_out(node, fi, cand,
-                  route(node, packets_[front(node, cand).packet].packet.dst));
-  } else {
-    // The next flit of the same packet follows this one's output.
-    heads_[node] &= ~bit;
-    want_[o] |= bit;
-  }
+  const std::uint64_t stays = bit & (0 - static_cast<std::uint64_t>(!drained));
+  r.want[behind_out] |= stays;
+  r.heads = (r.heads & ~bit) |
+            (stays & (0 - static_cast<std::uint64_t>(flit.tail)));
   // A multi-flit packet's head takes the (output, vnet) wormhole lock
   // and its tail releases it: both toggle the bit.
-  locks_[node] ^= (std::uint64_t{1} << lock) &
-                  (0 - static_cast<std::uint64_t>(flit.head != flit.tail));
+  r.locks ^= (std::uint64_t{1} << lock) &
+             (0 - static_cast<std::uint64_t>(flit.head != flit.tail));
 
   if (out == 0) {
     if (flit.tail) {
@@ -225,75 +210,82 @@ void Network::grant(std::size_t node, std::uint32_t out,
       free_packet_ = flit.packet;
     }
   } else {
-    const std::size_t down = down_fifo_[o] + vn;
-    const auto next = static_cast<std::size_t>(neighbour_[o]);
-    const std::uint32_t dcand = down_cand_[o] + vn;
+    const auto next = static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(node) + step_to_[out]);
+    const std::uint32_t dcand = down_cand_[out] + vn;
     const std::uint64_t dbit = std::uint64_t{1} << dcand;
-    Ring& r = rings_[down];
-    std::uint32_t slot = r.start + r.count;
-    if (slot >= depth_) {
-      slot -= depth_;
+    const std::size_t down = fifo_index(next, dcand);
+    Router& d = routers_[next];
+    Ring& q = ring(down);
+    std::uint32_t at = q.start + q.count;
+    if (at >= depth_) {
+      at -= depth_;
     }
-    slots_[down * depth_ + slot] = flit;
-    ++r.count;
-    full_[next] |= dbit & (0 - static_cast<std::uint64_t>(r.count == depth_));
-    if (r.count == 1) {
-      occupancy_[next] |= dbit;
-      fresh_[next] |= dbit;
-      if (flit.head) {
-        heads_[next] |= dbit;
-        set_front_out(next, down, dcand,
-                      route(next, packets_[flit.packet].packet.dst));
-      } else {
-        // A body landing at an empty FIFO follows the lock its head took
-        // at `next`, which front_out_ still names.
-        set_front_out(next, down, dcand, front_out_[down]);
-      }
-    }
+    const std::uint32_t to = route(next, flit.packet);
+    slot(down, at) = Flit{flit.packet, flit.head, flit.tail,
+                          static_cast<std::uint8_t>(to)};
+    ++q.count;
+    d.full |= dbit & (0 - static_cast<std::uint64_t>(q.count == depth_));
+    // A flit reaching an empty FIFO is its new front.  It may move next
+    // cycle; only a router still to be visited this cycle needs telling
+    // not yet.
+    const std::uint64_t front_bit =
+        dbit & (0 - static_cast<std::uint64_t>(q.count == 1));
+    d.fresh |= front_bit & (0 - static_cast<std::uint64_t>(next > node));
+    d.heads |= front_bit & (0 - static_cast<std::uint64_t>(flit.head));
+    d.want[to] |= front_bit;
     ++flit_hops_;
-    ++link_flits_[node * candidates_ + lock];
+    ++units_[down * stride_ + 1].link_flits;
   }
-  rr_[o] = cand + 1 == candidates_ ? 0 : cand + 1;
+  r.rr[out] = static_cast<std::uint8_t>(cand + 1 == candidates_ ? 0 : cand + 1);
 }
 
 void Network::step() {
   ++now_;
   any_movement_ = false;
-  std::fill(fresh_.begin(), fresh_.end(), 0);
   const auto nodes = static_cast<std::size_t>(mesh_.num_cores());
   for (std::size_t node = 0; node < nodes; ++node) {
+    Router& r = routers_[node];
+    std::uint64_t busy = 0;
+    for (const std::uint64_t w : r.want) {
+      busy |= w;
+    }
+    if (busy == 0 && params_.occupancy_mask) {
+      continue;  // idle router: no candidate, and so no fresh front either
+    }
+    const std::uint64_t fresh = r.fresh;
+    r.fresh = 0;
     popped_ = 0;
     if (params_.occupancy_mask) {
-      if (occupancy_[node] == 0) {
-        continue;  // idle router: no candidate on any output
-      }
       // A grant at one output cannot change what another output of this
       // router may grant: each candidate's want bit names one output, a
       // popped FIFO's next front is barred until the next cycle, and a
       // grant moves only its own output's lock and downstream FIFO.  So
       // snapshot the wants (minus fronts that entered this cycle) up
       // front, and visit only the outputs that have any.
-      const std::uint64_t fresh = fresh_[node];
       std::array<std::uint64_t, kNumDirections> wants{};
       std::uint32_t outs = 0;
       for (std::uint32_t out = 0; out < kNumDirections; ++out) {
-        wants[out] = want_[node * kNumDirections + out] & ~fresh;
+        wants[out] = r.want[out] & ~fresh;
         outs |= static_cast<std::uint32_t>(wants[out] != 0) << out;
       }
+      // Pick every output's candidate first, prefetching the FIFO
+      // records its grant will pop from and push to, then grant.
+      std::array<std::uint32_t, kNumDirections> picks{};
+      std::uint32_t granted = 0;
       for (; outs != 0; outs &= outs - 1) {
         const auto out = static_cast<std::uint32_t>(std::countr_zero(outs));
-        const std::size_t o = node * kNumDirections + out;
         // Drop the candidates the exhaustive scan would reject at the
         // lock or flow-control check: heads whose (output, vnet) lock is
         // held, and every vnet whose downstream FIFO is full.  What is
         // left is exactly the set of candidates the scan would grant.
-        const std::uint64_t locked =
-            (locks_[node] >> (out * vnets_)) & vnet_mask_;
-        std::uint64_t avail = wants[out] & ~(heads_[node] & locked * spread_);
+        const std::uint64_t locked = (r.locks >> (out * vnets_)) & vnet_mask_;
+        std::uint64_t avail = wants[out] & ~(r.heads & locked * spread_);
+        const auto next = static_cast<std::size_t>(
+            static_cast<std::ptrdiff_t>(node) + step_to_[out]);
         if (out != 0) {
-          const auto next = static_cast<std::size_t>(neighbour_[o]);
           const std::uint64_t full =
-              (full_[next] >> down_cand_[o]) & vnet_mask_;
+              (routers_[next].full >> down_cand_[out]) & vnet_mask_;
           avail &= ~(full * spread_);
         }
         if (avail == 0) {
@@ -301,23 +293,32 @@ void Network::step() {
         }
         // The scan visits start..nc-1, then 0..start-1 and grants the
         // first grantable candidate.
-        const std::uint32_t start = rr_[o];
+        const std::uint32_t start = r.rr[out];
         const std::uint64_t from_start = avail & (~std::uint64_t{0} << start);
         const auto cand = static_cast<std::uint32_t>(
             std::countr_zero(from_start != 0 ? from_start : avail));
-        grant(node, out, cand);
+        picks[out] = cand;
+        granted |= 1u << out;
+        __builtin_prefetch(&units_[fifo_index(node, cand) * stride_]);
+        __builtin_prefetch(
+            &units_[fifo_index(next, down_cand_[out] + cand_vnet_[cand]) *
+                    stride_]);
+      }
+      for (; granted != 0; granted &= granted - 1) {
+        const auto out = static_cast<std::uint32_t>(std::countr_zero(granted));
+        grant(node, out, picks[out]);
       }
     } else {
       // Reference arbiter: exhaustive probe over every candidate.
       for (std::uint32_t out = 0; out < kNumDirections; ++out) {
-        const std::size_t o = node * kNumDirections + out;
-        if (neighbour_[o] == kNoCore) {
+        if (mesh_.neighbor(static_cast<CoreId>(node),
+                           static_cast<Direction>(out)) == kNoCore) {
           continue;  // mesh edge: no link in this direction
         }
-        const std::uint32_t start = rr_[o];
+        const std::uint32_t start = r.rr[out];
         for (std::uint32_t probe = 0; probe < candidates_; ++probe) {
           const std::uint32_t cand = (start + probe) % candidates_;
-          if (grantable(node, out, cand)) {
+          if (grantable(node, fresh, out, cand)) {
             grant(node, out, cand);
             break;
           }
@@ -339,6 +340,17 @@ bool Network::run_until_drained(Cycle max_cycles) {
     step();
   }
   return idle();
+}
+
+std::uint64_t Network::link_flits(CoreId node, Direction out, int vn) const {
+  const CoreId next = mesh_.neighbor(node, out);
+  if (out == Direction::kLocal || next == kNoCore) {
+    return 0;
+  }
+  const std::size_t down = fifo_index(
+      static_cast<std::size_t>(next),
+      down_cand_[static_cast<std::size_t>(out)] + static_cast<std::uint32_t>(vn));
+  return units_[down * stride_ + 1].link_flits;
 }
 
 FabricUtilization Network::utilization() const {
@@ -366,11 +378,12 @@ FabricUtilization Network::utilization() const {
       ++u.num_links;
       std::uint64_t link_total = 0;
       for (std::size_t vn = 0; vn < vnets; ++vn) {
-        link_total += link_flits_[fifo_index(node, out, static_cast<int>(vn))];
+        link_total += link_flits(node, static_cast<Direction>(out),
+                                 static_cast<int>(vn));
       }
       for (std::size_t vn = 0; vn < vnets; ++vn) {
-        const std::uint64_t flits =
-            link_flits_[fifo_index(node, out, static_cast<int>(vn))];
+        const std::uint64_t flits = link_flits(
+            node, static_cast<Direction>(out), static_cast<int>(vn));
         u.flits_by_vnet[vn] += flits;
         if (now_ == 0 || flits == 0) {
           continue;

@@ -18,6 +18,8 @@
 // with rotating priority, one flit per output port per cycle.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -43,9 +45,9 @@ struct NetworkParams {
   /// grants the first of them in the scan's rotated order: no probe ever
   /// fails.  Arbitration is bit-identical (tests diff the two step for
   /// step); only the cost changes — the 256-core sharing-mix em2
-  /// calibration replay takes 126 ms vs 1,080 ms with the exhaustive
-  /// probe (4-CPU Xeon host), which false retains as the reference
-  /// arbiter.
+  /// calibration replay of stream-cold takes 90 ms vs 990 ms with the
+  /// exhaustive probe (median thread CPU time, 4-CPU Xeon host), which
+  /// false retains as the reference arbiter.
   bool occupancy_mask = true;
 };
 
@@ -104,12 +106,14 @@ struct FabricUtilization {
 /// Cycle-level mesh network.  Usage: inject() any number of packets, call
 /// step() once per cycle, consume deliveries via drain_delivered().
 ///
-/// Storage is flat: every router input FIFO is a fixed vc_depth ring in
-/// one array, and each unbounded injection queue is an intrusive list of
-/// packet slots whose front flit is derived (head = first unsent flit,
-/// tail = last) instead of materialized per flit.
-/// Packet slots are recycled at delivery, so fabric memory is bounded by
-/// the packets in flight, not by the packets ever injected.
+/// Storage is router-major: one 128-byte block per router holds every
+/// arbitration mask of that router, one record per input FIFO holds its
+/// vc_depth-flit ring next to the counter of the link that feeds it, and
+/// each unbounded injection queue is an intrusive list of packet slots
+/// whose front flit is derived (head = first unsent flit, tail = last)
+/// instead of materialized per flit.  Packet slots are recycled at
+/// delivery, so fabric memory is bounded by the packets in flight, not by
+/// the packets ever injected.
 class Network {
  public:
   Network(const Mesh& mesh, const NetworkParams& params);
@@ -151,9 +155,7 @@ class Network {
 
   /// Flits that traversed the directed link (node -> neighbor in `out`)
   /// on `vn` since construction.  Ejection (kLocal) is not a link.
-  std::uint64_t link_flits(CoreId node, Direction out, int vn) const {
-    return link_flits_[fifo_index(node, static_cast<int>(out), vn)];
-  }
+  std::uint64_t link_flits(CoreId node, Direction out, int vn) const;
 
   /// Aggregates the per-(link, vnet) flit counters over the cycles stepped
   /// so far; the calibration layer feeds the result into the M/D/1
@@ -178,11 +180,54 @@ class Network {
   /// A flit in a router input ring (or the derived front of an
   /// injection queue).  No arrival stamp: a flit may move again only in a
   /// strictly later cycle than it entered its FIFO, and the only fronts
-  /// that entered this cycle are the ones the per-node fresh_ mask names.
+  /// that entered this cycle are the ones their router's fresh mask names.
   struct Flit {
-    std::uint32_t packet = 0;  // slot in packets_
-    bool head = false;
-    bool tail = false;
+    std::uint32_t packet;  // slot in packets_
+    bool head;
+    bool tail;
+    /// In a ring: the output the flit takes at the ring's router, its
+    /// packet's XY route there (unused in a derived front).
+    std::uint8_t out;
+  };
+
+  /// Occupied window of one input FIFO's ring.
+  struct Ring {
+    std::uint32_t start;
+    std::uint32_t count;
+  };
+
+  /// One 8-byte unit of a FIFO record (its members are trivial, as a
+  /// union's must be).  The record of FIFO `fi` is units
+  /// [fi * stride_, (fi + 1) * stride_): the ring header, the flit
+  /// counter of the link that feeds the FIFO, then vc_depth flit slots.
+  union Unit {
+    std::uint64_t link_flits = 0;
+    Ring ring;
+    Flit flit;
+  };
+
+  /// Every arbitration mask of one router.  Candidate bits are
+  /// in_port * num_vnets + vn:
+  ///   heads — the FIFO's front flit is a head (needs the output's lock);
+  ///   full  — its ring holds vc_depth flits (no room upstream);
+  ///   fresh — its front entered this cycle and cannot move until the
+  ///           next one.  Set only while the router is still to be
+  ///           visited this cycle, and cleared by the visit, so no
+  ///           router needs a per-cycle reset;
+  ///   want[out] — the non-empty FIFOs whose front heads for output
+  ///           `out`: a head's XY route, or the output its head locked.
+  ///           Every non-empty FIFO has its bit in exactly one output's
+  ///           mask, so a router with no want bit is idle.
+  /// locks holds bit (out_port * num_vnets + vn) while a packet streams
+  /// through that output; rr[out] is the candidate the rotating
+  /// round-robin priority probes first (one past the last grant).
+  struct alignas(64) Router {
+    std::array<std::uint64_t, kNumDirections> want{};
+    std::uint64_t heads = 0;
+    std::uint64_t full = 0;
+    std::uint64_t fresh = 0;
+    std::uint64_t locks = 0;
+    std::array<std::uint8_t, kNumDirections> rr{};
   };
 
   struct PacketState {
@@ -200,99 +245,78 @@ class Network {
     std::int32_t sent = 0;
   };
 
-  /// Occupied window of one input FIFO's ring.
-  struct Ring {
-    std::uint32_t start = 0;
-    std::uint32_t count = 0;
-  };
-
-  /// FIFO (node, port, vnet) — also the index of the (node, out-port,
-  /// vnet) link counter.  Equals node * candidates + candidate.
-  std::size_t fifo_index(CoreId node, int port, int vn) const noexcept {
-    return static_cast<std::size_t>(node) * candidates_ +
-           static_cast<std::size_t>(port) * vnets_ +
-           static_cast<std::size_t>(vn);
+  /// FIFO (node, port, vnet).  Equals node * candidates + candidate.
+  std::size_t fifo_index(std::size_t node, std::uint32_t cand) const noexcept {
+    return node * candidates_ + cand;
+  }
+  Ring& ring(std::size_t fi) noexcept { return units_[fi * stride_].ring; }
+  const Ring& ring(std::size_t fi) const noexcept {
+    return units_[fi * stride_].ring;
+  }
+  Flit& slot(std::size_t fi, std::uint32_t k) noexcept {
+    return units_[fi * stride_ + 2 + k].flit;
+  }
+  const Flit& slot(std::size_t fi, std::uint32_t k) const noexcept {
+    return units_[fi * stride_ + 2 + k].flit;
   }
   /// Moves the front flit of candidate `cand` (= in_port * num_vnets +
   /// vn) at `node` through output `out`, which the caller has checked is
   /// grantable.  Shared verbatim by the masked and exhaustive arbiters,
   /// so they can only differ in how they pick the candidate.
   void grant(std::size_t node, std::uint32_t out, std::uint32_t cand);
-  /// The exhaustive arbiter's per-candidate check, from raw FIFO state.
-  bool grantable(std::size_t node, std::uint32_t out,
+  /// The exhaustive arbiter's per-candidate check, from raw FIFO state;
+  /// `fresh` is the visited router's fresh mask.
+  bool grantable(std::size_t node, std::uint64_t fresh, std::uint32_t out,
                  std::uint32_t cand) const;
   /// The front flit of candidate `cand`'s non-empty FIFO at `node`.
   Flit front(std::size_t node, std::uint32_t cand) const noexcept;
-  /// Records `out` as the output the front flit of FIFO `fi` (candidate
-  /// `cand` at `node`) heads for.
-  void set_front_out(std::size_t node, std::size_t fi, std::uint32_t cand,
-                     std::uint32_t out) noexcept;
-  /// XY next-hop output of a head at `node` bound for `dst`.
-  std::uint32_t route(std::size_t node, CoreId dst) const noexcept {
-    return static_cast<std::uint32_t>(
-        mesh_.route_xy(static_cast<CoreId>(node), dst));
+  /// XY next-hop output at `node` of packet slot `packet`: a head's
+  /// route, and so also the output its body and tail follow.
+  std::uint32_t route(std::size_t node, std::uint32_t packet) const noexcept {
+    const Coord at = mesh_.coord_of(static_cast<CoreId>(node));
+    const Coord to = dst_[packet];
+    // Sign of each remaining offset, -1..1, indexes the 3x3 table.
+    const int sx = (at.x < to.x) - (at.x > to.x);
+    const int sy = (at.y < to.y) - (at.y > to.y);
+    return kRouteXy[static_cast<std::size_t>((sx + 1) * 3 + sy + 1)];
   }
+  /// XY routing by offset sign: x first, then y, then eject.
+  static constexpr std::array<std::uint8_t, 9> kRouteXy = {
+      2, 2, 2,  // x behind: West
+      3, 0, 4,  // same column: North, Local, South
+      1, 1, 1,  // x ahead: East
+  };
 
   Mesh mesh_;
   NetworkParams params_;
   std::uint32_t vnets_ = 0;
   std::uint32_t candidates_ = 0;  // kNumDirections * vnets_
   std::uint32_t depth_ = 0;
+  std::size_t stride_ = 0;  // units per FIFO record: 2 + depth_
 
-  // Static tables, per (node, output): the neighbour the output links to
-  // (the node itself for kLocal, kNoCore at a mesh edge), the index of
-  // the downstream input FIFO for vnet 0, and that FIFO's candidate
-  // number at the neighbour.  Per candidate: its vnet.
-  std::vector<CoreId> neighbour_;
-  std::vector<std::size_t> down_fifo_;
-  std::vector<std::uint32_t> down_cand_;
-  std::vector<std::uint32_t> cand_vnet_;
+  // Per output: the offset of the router it links to (XY routing never
+  // points off the mesh, so no edge check is needed) and the downstream
+  // FIFO's candidate number for vnet 0 there.  Per candidate: its vnet.
+  std::array<std::ptrdiff_t, kNumDirections> step_to_{};
+  std::array<std::uint32_t, kNumDirections> down_cand_{};
+  std::array<std::uint8_t, 64> cand_vnet_{};
   /// Bit i*num_vnets for every port i: multiplying a per-vnet mask by it
   /// copies the mask onto every input port's candidates.
   std::uint64_t spread_ = 0;
   std::uint64_t vnet_mask_ = 0;
 
-  // Per FIFO (node x port x vnet).  Ports 1..4 are rings of depth_ flits
-  // in slots_; port 0 (kLocal) is the node's injection queue, whose ring
-  // entries stay unused.
-  std::vector<Ring> rings_;
-  std::vector<Flit> slots_;
-  /// The output the FIFO's front flit heads for: a head's XY route, or —
-  /// for the body and tail flits behind it — the output that head locked.
-  /// Valid while the FIFO is non-empty; kept across empty spells, since
-  /// the next flit to arrive behind a granted head follows its lock.
-  std::vector<std::uint8_t> front_out_;
-  /// Flit traversals per (node, out-port, vnet); same layout as the
-  /// FIFOs.  Only non-local ports accumulate (ejection is not a shared
-  /// resource).
-  std::vector<std::uint64_t> link_flits_;
+  std::vector<Router> routers_;
+  /// FIFO records (node x port x vnet).  Ports 1..4 are rings; port 0
+  /// (kLocal) is the node's injection queue, whose record stays unused
+  /// (ejection is not a link).
+  std::vector<Unit> units_;
 
   // Per (node, vnet): the injection queues.
   std::vector<SourceQueue> source_;
   std::vector<PacketState> packets_;
+  /// Per packet slot: its destination, which route() reads at every hop.
+  std::vector<Coord> dst_;
   std::uint32_t free_packet_ = kNone;  // recycled slot list
-
-  // Per node, candidate bits (in_port * num_vnets + vn):
-  //   occupancy_ — the FIFO is non-empty (idle routers are skipped);
-  //   heads_     — its front flit is a head (needs the output's lock);
-  //   full_      — its ring holds vc_depth flits (no room upstream);
-  //   fresh_     — its front entered this cycle (cannot move until the
-  //                next one; cleared at every step).
-  // And wormhole locks, bit (out_port * num_vnets + vn): set while a
-  // packet streams through that output.
-  std::vector<std::uint64_t> occupancy_;
-  std::vector<std::uint64_t> heads_;
-  std::vector<std::uint64_t> full_;
-  std::vector<std::uint64_t> fresh_;
-  std::vector<std::uint64_t> locks_;
-  /// Per (node, output), candidate bits: the non-empty FIFOs whose front
-  /// flit heads for this output.  Every non-empty FIFO has its bit in
-  /// exactly one output's mask; the union over a node's outputs is its
-  /// occupancy mask.
-  std::vector<std::uint64_t> want_;
-  /// Per (node, output): the candidate the rotating round-robin priority
-  /// probes first (one past the last grant, wrapped).
-  std::vector<std::uint32_t> rr_;
 
   // step() scratch: FIFOs of the router being arbitrated that already
   // moved a flit this cycle (an input FIFO feeds the switch at most one

@@ -14,7 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/types.hpp"
@@ -52,19 +52,19 @@ enum class CaptureStop : bool {
   kWhenFinal,  ///< the run exists only for its packets: stop once final
 };
 
-/// Accumulating sink used by the calibration pass.  The machine appends
-/// packets without timestamps; after each access the trace driver
-/// calls stamp() to assign the issuing thread's virtual clock to everything
-/// recorded since the previous stamp (an access's migration, its
+/// Accumulating sink used by the calibration pass.  The machine reports
+/// packets without timestamps; after each access the trace driver calls
+/// stamp() to assign the issuing thread's virtual clock to everything
+/// reported since the previous stamp (an access's migration, its
 /// eviction, or its remote request/reply pair all depart together).
 ///
 /// A capped recorder keeps only the `cap` earliest packets by (virtual
-/// time, record order) — O(cap) memory on arbitrarily long recordings.
-/// Batch compaction with a stable sort makes the kept set exactly what
-/// an unbounded recording followed by a stable time-sort + truncation
-/// would keep: stable_sort puts survivors into the (when, record-order)
-/// total order, later arrivals append after them, and re-sorting the
-/// union resolves every tie old-first — i.e. by record order.
+/// time, record order): exactly what an unbounded recording followed by
+/// a stable time-sort and truncation would keep.  It holds them in a
+/// bounded max-heap on that key, so at any moment it holds at most `cap`
+/// events (40 bytes each with their record index) plus the packets of the
+/// access being recorded, and a packet that cannot enter the kept set is
+/// dropped as soon as it is stamped.  events() sorts the heap once.
 class TrafficRecorder final : public TrafficSink {
  public:
   /// `cap` = 0 records everything (the estimated path integrates the
@@ -76,57 +76,127 @@ class TrafficRecorder final : public TrafficSink {
 
   void on_packet(CoreId src, CoreId dst, std::int32_t vn,
                  std::uint64_t payload_bits) override {
-    events_.push_back(TrafficEvent{src, dst, vn, payload_bits, 0});
+    pending_.push_back(TrafficEvent{src, dst, vn, payload_bits, 0});
   }
 
-  /// Timestamps every packet recorded since the previous stamp().
+  /// Timestamps every packet reported since the previous stamp() and
+  /// records it (or, capped, drops it if it cannot be kept).
   void stamp(Cycle when) {
-    for (std::size_t i = stamped_; i < events_.size(); ++i) {
-      events_[i].when = when;
+    for (TrafficEvent& e : pending_) {
+      e.when = when;
+      keep(e);
     }
-    stamped_ = events_.size();
-    if (cap_ > 0 && events_.size() >= 2 * cap_) {
-      compact();
-    }
+    pending_.clear();
   }
 
   /// Asked by the round-robin trace driver after each round, with
   /// `min_clock` the smallest virtual clock, after the round, among the
   /// threads that had an access in it: true iff the walk may stop because
   /// no packet it could still record can enter the kept set.  That holds
-  /// once min_clock reaches the stamp T of the cap-th earliest packet at
-  /// the last compaction: per-thread clocks never decrease, so every
-  /// later packet is stamped >= T, and it loses the tie to the cap
-  /// packets already at or before T because it is recorded after them.
-  /// Never true for CaptureStop::kRunToEnd, nor, while any thread still
-  /// runs, before the first compaction.
+  /// once the recorder keeps `cap` packets and min_clock reaches the stamp
+  /// T of the latest of them: per-thread clocks never decrease, so every
+  /// later packet is stamped >= T, and it loses the tie to the packets
+  /// already kept because it is recorded after them.  Never true for
+  /// CaptureStop::kRunToEnd, nor, while any thread still runs, before the
+  /// recorder holds `cap` packets.
   bool complete(Cycle min_clock) const noexcept {
-    return stop_ == CaptureStop::kWhenFinal && min_clock >= final_at_;
+    return stop_ == CaptureStop::kWhenFinal && cap_ > 0 &&
+           events_.size() == cap_ && min_clock >= latest_kept().when;
   }
 
-  std::vector<TrafficEvent>& events() noexcept { return events_; }
-  const std::vector<TrafficEvent>& events() const noexcept {
+  /// The recorded packets: in record order when uncapped, in (virtual
+  /// time, record order) when capped.
+  std::vector<TrafficEvent>& events() {
+    if (cap_ > 0 && !sorted_) {
+      // Heapsort in place: move the latest kept packet behind the heap.
+      for (std::size_t n = events_.size(); n > 1; --n) {
+        swap_kept(0, n - 1);
+        sift_down(0, n - 1);
+      }
+      sorted_ = true;
+    }
     return events_;
   }
 
  private:
-  void compact() {
-    std::stable_sort(events_.begin(), events_.end(),
-                     [](const TrafficEvent& a, const TrafficEvent& b) {
-                       return a.when < b.when;
-                     });
-    events_.resize(static_cast<std::size_t>(cap_));
-    stamped_ = events_.size();
-    final_at_ = events_.back().when;
+  void keep(const TrafficEvent& e) {
+    const std::uint64_t order = recorded_++;
+    if (cap_ == 0) {
+      events_.push_back(e);
+      return;
+    }
+    if (sorted_) {
+      // A descending array is a max-heap.
+      std::reverse(events_.begin(), events_.end());
+      std::reverse(order_.begin(), order_.end());
+      sorted_ = false;
+    }
+    if (events_.size() < cap_) {
+      if (events_.size() == events_.capacity()) {
+        // Grow by doubling, but never past the cap.
+        const std::size_t room = std::min<std::uint64_t>(
+            cap_, std::max<std::size_t>(16, 2 * events_.capacity()));
+        events_.reserve(room);
+        order_.reserve(room);
+      }
+      events_.push_back(e);
+      order_.push_back(order);
+      sift_up(events_.size() - 1);
+    } else if (e.when < events_.front().when) {
+      // Recorded after every kept packet, `e` loses each tie: it
+      // displaces the latest kept packet only with a strictly earlier
+      // stamp.
+      events_.front() = e;
+      order_.front() = order;
+      sift_down(0, events_.size());
+    }
+  }
+
+  const TrafficEvent& latest_kept() const noexcept {
+    return sorted_ ? events_.back() : events_.front();
+  }
+
+  /// Kept packet `a` is later than `b` in (virtual time, record order).
+  bool later(std::size_t a, std::size_t b) const noexcept {
+    return events_[a].when != events_[b].when
+               ? events_[a].when > events_[b].when
+               : order_[a] > order_[b];
+  }
+  void swap_kept(std::size_t a, std::size_t b) noexcept {
+    std::swap(events_[a], events_[b]);
+    std::swap(order_[a], order_[b]);
+  }
+  void sift_up(std::size_t i) noexcept {
+    while (i > 0 && later(i, (i - 1) / 2)) {
+      swap_kept(i, (i - 1) / 2);
+      i = (i - 1) / 2;
+    }
+  }
+  /// Restores the max-heap over the first `n` kept packets below `i`.
+  void sift_down(std::size_t i, std::size_t n) noexcept {
+    for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+      if (child + 1 < n && later(child + 1, child)) {
+        ++child;
+      }
+      if (!later(child, i)) {
+        return;
+      }
+      swap_kept(i, child);
+      i = child;
+    }
   }
 
   std::uint64_t cap_ = 0;
   CaptureStop stop_ = CaptureStop::kRunToEnd;
-  /// Stamp of the cap-th earliest packet as of the last compaction;
-  /// unreachable until the first one.
-  Cycle final_at_ = std::numeric_limits<Cycle>::max();
+  /// Uncapped: every stamped packet in record order.  Capped: the kept
+  /// packets, a max-heap on (when, record order) until events() sorts
+  /// them ascending (`sorted_`); order_ holds each one's record index.
   std::vector<TrafficEvent> events_;
-  std::size_t stamped_ = 0;
+  std::vector<std::uint64_t> order_;
+  bool sorted_ = false;
+  /// Reported since the last stamp().
+  std::vector<TrafficEvent> pending_;
+  std::uint64_t recorded_ = 0;
 };
 
 }  // namespace em2

@@ -1,6 +1,7 @@
 #include "trace/stream/codec.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "trace/stream/format.hpp"
@@ -85,26 +86,27 @@ std::vector<std::uint8_t> Em2zCodec::compress(
 
 std::vector<std::uint8_t> Em2zCodec::decompress(
     std::span<const std::uint8_t> stored, std::size_t raw_bytes) const {
-  std::vector<std::uint8_t> out;
-  out.reserve(raw_bytes);
+  std::vector<std::uint8_t> out(raw_bytes);
+  std::uint8_t* const o = out.data();
+  std::size_t n = 0;  // bytes produced
   std::size_t p = 0;
   const auto need = [&](std::size_t k) {
     if (stored.size() - p < k) {
       fail("truncated token stream");
     }
   };
-  while (out.size() < raw_bytes) {
+  while (n < raw_bytes) {
     need(1);
     const std::uint8_t c = stored[p++];
     if ((c & 1) == 0) {
       const std::size_t run = static_cast<std::size_t>(c >> 1) + 1;
       need(run);
-      if (raw_bytes - out.size() < run) {
+      if (raw_bytes - n < run) {
         fail("literal run overruns the declared raw size");
       }
-      out.insert(out.end(), stored.begin() + static_cast<std::ptrdiff_t>(p),
-                 stored.begin() + static_cast<std::ptrdiff_t>(p + run));
+      std::memcpy(o + n, stored.data() + p, run);
       p += run;
+      n += run;
       continue;
     }
     const std::size_t len = static_cast<std::size_t>(c >> 1) + kMinMatch;
@@ -120,18 +122,29 @@ std::vector<std::uint8_t> Em2zCodec::decompress(
         break;
       }
     }
-    if (dist == 0 || dist > out.size()) {
+    if (dist == 0 || dist > n) {
       fail("match distance of " + std::to_string(dist) +
            " reaches outside the produced output");
     }
-    if (raw_bytes - out.size() < len) {
+    if (raw_bytes - n < len) {
       fail("match overruns the declared raw size");
     }
-    // Byte-by-byte on purpose: dist < len is the legal RLE-style overlap.
-    const std::size_t src = out.size() - static_cast<std::size_t>(dist);
-    for (std::size_t k = 0; k < len; ++k) {
-      out.push_back(out[src + k]);
+    // Forward copy: every source byte precedes its destination byte.  At
+    // dist >= 8 an 8-byte step reads only bytes already produced; a
+    // shorter distance is the legal RLE-style overlap, copied byte by
+    // byte.
+    const std::uint8_t* src = o + n - static_cast<std::size_t>(dist);
+    std::uint8_t* dst = o + n;
+    std::size_t k = 0;
+    if (dist >= 8) {
+      for (; k + 8 <= len; k += 8) {
+        std::memcpy(dst + k, src + k, 8);
+      }
     }
+    for (; k < len; ++k) {
+      dst[k] = src[k];
+    }
+    n += len;
   }
   if (p != stored.size()) {
     fail("trailing bytes after the final token");

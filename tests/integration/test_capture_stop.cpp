@@ -4,8 +4,9 @@
 // distance:4 and history, cc), that the stopped
 // capture keeps exactly the packets of the full recording — field by
 // field after prepare_calibration_events — and that it really stopped
-// early.  Also pins the default contract: a recorder that is not told it
-// may stop never changes the report of the run it observes.
+// early, and that a capped capture never holds more than its cap.  Also
+// pins the default contract: a recorder that is not told it may stop
+// never changes the report of the run it observes.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -278,6 +279,32 @@ TEST(CaptureEarlyStopReplication, ReplicatedReadsKeepTheSlowestClock) {
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(want.front().src, 0);  // thread 0's write leads
     expect_same_events(want, prepared(stopping, cap));
+  }
+}
+
+TEST(CaptureMemoryBound, FinalCaptureHoldsAtMostItsCapAndStopsEarly) {
+  // A 64-thread sharing-mix capture capped at 2,000 packets: the
+  // recorder's event storage, whose capacity never shrinks, must never
+  // have grown past the cap.  Batch compaction (sort and truncate at
+  // twice the cap) held up to 4,096 events here, and learned the stamp
+  // of its cap-th earliest packet only at the first compaction: the
+  // capture then stopped after the access counts below.  Knowing that
+  // stamp from the cap-th packet on, the capture stops no later.
+  constexpr std::uint64_t kCap = 2000;
+  struct Case {
+    Engine engine;
+    std::uint64_t batch_compaction_accesses;
+  };
+  const Inputs s("sharing-mix");
+  for (const Case c : {Case{Engine::kEm2, 12544},
+                       Case{Engine::kRaDistance, 11264},
+                       Case{Engine::kCc, 9280}}) {
+    SCOPED_TRACE(name(c.engine));
+    TrafficRecorder recorder(kCap, CaptureStop::kWhenFinal);
+    const Outcome part = run(s, c.engine, &recorder);
+    EXPECT_LE(recorder.events().capacity(), kCap);
+    EXPECT_EQ(recorder.events().size(), kCap);
+    EXPECT_LE(part.accesses, c.batch_compaction_accesses);
   }
 }
 

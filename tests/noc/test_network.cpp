@@ -192,12 +192,86 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NetworkStorm, ::testing::Range(1, 9));
 
 // The masked arbiter (per-output want bitmasks, NetworkParams::
 // occupancy_mask) must be an invisible optimization: step for step it
-// grants exactly what the exhaustive reference probe grants.  Drive both
-// fabrics with identical randomized traffic — bursty injections, mixed
-// flit counts, every vnet, saturating phases, and a source-backlog phase
-// in which one core queues dozens of 9-flit packets per vnet — on an 8x8
-// mesh at every buffer depth from a single slot up, and diff everything
+// grants exactly what the exhaustive reference probe grants.  Lockstep
+// drives both fabrics with identical traffic and diffs everything
 // observable each cycle plus every per-(link, vnet) counter at the end.
+class Lockstep {
+ public:
+  Lockstep(const Mesh& mesh, std::int32_t depth)
+      : mesh_(mesh), a_(mesh, params(depth, true)),
+        b_(mesh, params(depth, false)) {}
+
+  void inject(const Packet& p) {
+    a_.inject(p);
+    b_.inject(p);
+  }
+  std::uint64_t in_flight() const { return a_.packets_in_flight(); }
+
+  /// Steps both fabrics once and diffs what each delivered.
+  void step(int cycle) {
+    a_.step();
+    b_.step();
+    ASSERT_EQ(a_.packets_in_flight(), b_.packets_in_flight())
+        << "cycle " << cycle;
+    ASSERT_EQ(a_.flit_hops(), b_.flit_hops()) << "cycle " << cycle;
+    const auto da = a_.drain_delivered();
+    const auto db = b_.drain_delivered();
+    ASSERT_EQ(da.size(), db.size()) << "cycle " << cycle;
+    for (std::size_t i = 0; i < da.size(); ++i) {
+      // Same packets, same order, same timing: arbitration parity.
+      ASSERT_EQ(da[i].packet.id, db[i].packet.id) << "cycle " << cycle;
+      ASSERT_EQ(da[i].injected, db[i].injected) << "cycle " << cycle;
+      ASSERT_EQ(da[i].delivered, db[i].delivered) << "cycle " << cycle;
+    }
+  }
+
+  /// Drains both fabrics and diffs their terminal state.
+  void finish() {
+    ASSERT_TRUE(a_.run_until_drained(200000));
+    ASSERT_TRUE(b_.run_until_drained(200000));
+    EXPECT_EQ(a_.now(), b_.now());
+    EXPECT_EQ(a_.flit_hops(), b_.flit_hops());
+    // The per-(link, vnet) flit counters feed the contention
+    // calibration, so every one must match exactly.
+    for (CoreId node = 0; node < mesh_.num_cores(); ++node) {
+      for (int out = 1; out < kNumDirections; ++out) {
+        for (int vn = 0; vn < vnet::kNumVnets; ++vn) {
+          const auto dir = static_cast<Direction>(out);
+          ASSERT_EQ(a_.link_flits(node, dir, vn), b_.link_flits(node, dir, vn))
+              << "node " << node << " out " << out << " vnet " << vn;
+        }
+      }
+    }
+    const FabricUtilization ua = a_.utilization();
+    const FabricUtilization ub = b_.utilization();
+    EXPECT_EQ(ua.flits_by_vnet, ub.flits_by_vnet);
+    EXPECT_EQ(ua.seen_by_vnet, ub.seen_by_vnet);
+    EXPECT_EQ(ua.peak, ub.peak);
+  }
+
+ private:
+  static NetworkParams params(std::int32_t depth, bool masked) {
+    NetworkParams p = default_params();
+    p.vc_depth = depth;
+    p.occupancy_mask = masked;
+    return p;
+  }
+
+  Mesh mesh_;
+  Network a_;
+  Network b_;
+};
+
+// Two inputs.  First, randomized open-loop traffic — bursty injections,
+// mixed flit counts, every vnet, saturating phases, and a source-backlog
+// phase in which one core queues dozens of 9-flit packets per vnet — on
+// an 8x8 mesh at every buffer depth from a single slot up.  Second, the
+// shape of the stream-cold sharing-mix calibration replay: a 16x16 mesh,
+// 9-flit context packets on the two migration vnets, and a closed-loop
+// window of two packets per core kept full, so the fabric stays
+// saturated — at the default depth and at vc_depth 8.  A layout that
+// assumed the 8x8 row stride or at most four flits per FIFO would part
+// from the reference there.
 TEST(Network, MaskedArbiterIsBitIdenticalToExhaustiveProbe) {
   const Mesh mesh(8, 8);
   const int cores = mesh.num_cores();
@@ -205,19 +279,9 @@ TEST(Network, MaskedArbiterIsBitIdenticalToExhaustiveProbe) {
     for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
       SCOPED_TRACE("vc_depth " + std::to_string(depth) + " seed " +
                    std::to_string(seed));
-      NetworkParams masked = default_params();
-      masked.vc_depth = depth;
-      masked.occupancy_mask = true;
-      NetworkParams exhaustive = masked;
-      exhaustive.occupancy_mask = false;
-      Network a(mesh, masked);
-      Network b(mesh, exhaustive);
+      Lockstep net(mesh, depth);
       Rng rng(seed);
       std::uint64_t id = 0;
-      const auto inject_both = [&](const Packet& p) {
-        a.inject(p);
-        b.inject(p);
-      };
       for (int cycle = 0; cycle < 3000; ++cycle) {
         // Bursty: some cycles inject several packets, long gaps between.
         if (rng.next_bool(0.35)) {
@@ -230,7 +294,7 @@ TEST(Network, MaskedArbiterIsBitIdenticalToExhaustiveProbe) {
             p.vnet = static_cast<std::int32_t>(
                 rng.next_below(vnet::kNumVnets));
             p.flits = 1 + static_cast<std::int32_t>(rng.next_below(9));
-            inject_both(p);
+            net.inject(p);
           }
         }
         // Source backlog: every 500 cycles one core dumps a burst of
@@ -244,45 +308,34 @@ TEST(Network, MaskedArbiterIsBitIdenticalToExhaustiveProbe) {
             p.dst = static_cast<CoreId>(rng.next_below(cores));
             p.vnet = k % 2;
             p.flits = 9;
-            inject_both(p);
+            net.inject(p);
           }
         }
-        a.step();
-        b.step();
-        ASSERT_EQ(a.packets_in_flight(), b.packets_in_flight())
-            << "cycle " << cycle;
-        ASSERT_EQ(a.flit_hops(), b.flit_hops()) << "cycle " << cycle;
-        const auto da = a.drain_delivered();
-        const auto db = b.drain_delivered();
-        ASSERT_EQ(da.size(), db.size()) << "cycle " << cycle;
-        for (std::size_t i = 0; i < da.size(); ++i) {
-          // Same packets, same order, same timing: arbitration parity.
-          ASSERT_EQ(da[i].packet.id, db[i].packet.id) << "cycle " << cycle;
-          ASSERT_EQ(da[i].injected, db[i].injected) << "cycle " << cycle;
-          ASSERT_EQ(da[i].delivered, db[i].delivered) << "cycle " << cycle;
-        }
+        ASSERT_NO_FATAL_FAILURE(net.step(cycle));
       }
-      ASSERT_TRUE(a.run_until_drained(200000));
-      ASSERT_TRUE(b.run_until_drained(200000));
-      EXPECT_EQ(a.now(), b.now());
-      EXPECT_EQ(a.flit_hops(), b.flit_hops());
-      // Terminal state parity: the per-(link, vnet) flit counters feed
-      // the contention calibration, so every one must match exactly.
-      for (CoreId node = 0; node < cores; ++node) {
-        for (int out = 1; out < kNumDirections; ++out) {
-          for (int vn = 0; vn < vnet::kNumVnets; ++vn) {
-            const auto dir = static_cast<Direction>(out);
-            ASSERT_EQ(a.link_flits(node, dir, vn), b.link_flits(node, dir, vn))
-                << "node " << node << " out " << out << " vnet " << vn;
-          }
-        }
-      }
-      const FabricUtilization ua = a.utilization();
-      const FabricUtilization ub = b.utilization();
-      EXPECT_EQ(ua.flits_by_vnet, ub.flits_by_vnet);
-      EXPECT_EQ(ua.seen_by_vnet, ub.seen_by_vnet);
-      EXPECT_EQ(ua.peak, ub.peak);
+      ASSERT_NO_FATAL_FAILURE(net.finish());
     }
+  }
+  const Mesh wide(16, 16);
+  const int wide_cores = wide.num_cores();
+  for (const std::int32_t depth : {4, 8}) {
+    SCOPED_TRACE("16x16, vc_depth " + std::to_string(depth));
+    Lockstep net(wide, depth);
+    Rng rng(static_cast<std::uint64_t>(depth));
+    std::uint64_t id = 0;
+    for (int cycle = 0; cycle < 600; ++cycle) {
+      while (net.in_flight() < 2 * static_cast<std::uint64_t>(wide_cores)) {
+        Packet p;
+        p.id = ++id;
+        p.src = static_cast<CoreId>(rng.next_below(wide_cores));
+        p.dst = static_cast<CoreId>(rng.next_below(wide_cores));
+        p.vnet = static_cast<std::int32_t>(rng.next_below(2));
+        p.flits = 9;
+        net.inject(p);
+      }
+      ASSERT_NO_FATAL_FAILURE(net.step(cycle));
+    }
+    ASSERT_NO_FATAL_FAILURE(net.finish());
   }
 }
 

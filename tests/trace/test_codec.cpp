@@ -9,8 +9,12 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/stream/codec.hpp"
@@ -158,6 +162,109 @@ TEST(Em2zCodec, RejectsHostileTokenStreams) {
   // A valid stream decoded against a too-small raw size: the decoder
   // stops at raw_bytes and the leftover tokens are the trailing defect.
   expect_defect(decode({0x00, 'A', 0x00, 'B'}, 1), "trailing bytes");
+}
+
+// ---------------------------------------------------------------------
+// Differential: the decoder against a byte-at-a-time reference.
+
+/// The decoder the token format describes, one output byte at a time and
+/// with no validation: the oracle for decompress on well-formed streams.
+Bytes reference_decode(const Bytes& stored) {
+  Bytes out;
+  std::size_t p = 0;
+  while (p < stored.size()) {
+    const std::uint8_t c = stored[p++];
+    if ((c & 1) == 0) {
+      for (std::size_t k = 0; k <= static_cast<std::size_t>(c >> 1); ++k) {
+        out.push_back(stored[p++]);
+      }
+      continue;
+    }
+    const std::size_t len = static_cast<std::size_t>(c >> 1) + 4;
+    std::uint64_t dist = 0;
+    for (std::uint32_t shift = 0;; shift += 7) {
+      const std::uint8_t b = stored[p++];
+      dist |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) {
+        break;
+      }
+    }
+    for (std::size_t k = 0; k < len; ++k) {
+      out.push_back(out[out.size() - dist]);
+    }
+  }
+  return out;
+}
+
+/// Every em2z chunk of `path`, as (stored payload, raw size), walked
+/// from the first chunk header to the footer the trailer points at.
+std::vector<std::pair<Bytes, std::size_t>> em2z_chunks(
+    const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const Bytes file((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  std::uint64_t footer = 0;
+  std::memcpy(&footer, file.data() + file.size() - 16, 8);
+  std::vector<std::pair<Bytes, std::size_t>> chunks;
+  for (std::size_t at = 16; at < footer;) {
+    std::uint32_t payload = 0;
+    std::uint32_t raw = 0;
+    std::memcpy(&payload, file.data() + at + 8, 4);
+    std::memcpy(&raw, file.data() + at + 12, 4);
+    const std::uint8_t codec = file[at + 16];
+    at += 21;
+    if (codec == 1) {
+      chunks.emplace_back(Bytes(file.begin() + static_cast<std::ptrdiff_t>(at),
+                                file.begin() + static_cast<std::ptrdiff_t>(
+                                                   at + payload)),
+                          raw);
+    }
+    at += payload;
+  }
+  return chunks;
+}
+
+TEST(Em2zCodec, DecoderMatchesByteAtATimeReferenceOnWorkloadChunks) {
+  const em2s::Em2zCodec codec;
+  for (const char* name : {"sharing-mix", "ocean"}) {
+    SCOPED_TRACE(name);
+    const std::string path = tmp_path(std::string(name) + ".em2s");
+    TraceWriter::Options wopts;
+    wopts.codec = &codec;
+    ASSERT_TRUE(write_trace_stream(
+        path, workload::make_workload(name, 64).traces(), wopts));
+    const auto chunks = em2z_chunks(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(chunks.empty());
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      const auto& [stored, raw] = chunks[i];
+      const Bytes want = reference_decode(stored);
+      ASSERT_EQ(want.size(), raw) << "chunk " << i;
+      ASSERT_EQ(codec.decompress(stored, raw), want) << "chunk " << i;
+    }
+  }
+}
+
+TEST(Em2zCodec, DecoderMatchesByteAtATimeReferenceOnEveryMatchShape) {
+  // A 16-byte literal, then one match of every distance 1..16 and every
+  // length 4..131, then a literal tail: the RLE overlaps (distance < 8)
+  // and the 8-byte-step copies on both sides of their boundary.
+  const em2s::Em2zCodec codec;
+  for (std::uint8_t dist = 1; dist <= 16; ++dist) {
+    for (std::size_t len = 4; len <= 131; ++len) {
+      Bytes stored = {15 << 1};
+      for (int b = 0; b < 16; ++b) {
+        stored.push_back(static_cast<std::uint8_t>(b * 37 + 11));
+      }
+      stored.push_back(static_cast<std::uint8_t>(((len - 4) << 1) | 1));
+      stored.push_back(dist);
+      stored.insert(stored.end(), {2 << 1, 0xA5, 0x5A, 0x3C});
+      const Bytes want = reference_decode(stored);
+      ASSERT_EQ(want.size(), 16 + len + 3);
+      ASSERT_EQ(codec.decompress(stored, want.size()), want)
+          << "distance " << int{dist} << " length " << len;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
