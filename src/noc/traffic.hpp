@@ -74,14 +74,17 @@ class TrafficRecorder final : public TrafficSink {
                            CaptureStop stop = CaptureStop::kRunToEnd)
       : cap_(cap), stop_(stop) {}
 
-  void on_packet(CoreId src, CoreId dst, std::int32_t vn,
-                 std::uint64_t payload_bits) override {
+  /// Out of line, like stamp(): LTO would otherwise inline it into the
+  /// per-access loops at every machine's sink call, where it only bloats
+  /// the runs that record nothing.
+  EM2_NOINLINE void on_packet(CoreId src, CoreId dst, std::int32_t vn,
+                              std::uint64_t payload_bits) override {
     pending_.push_back(TrafficEvent{src, dst, vn, payload_bits, 0});
   }
 
   /// Timestamps every packet reported since the previous stamp() and
   /// records it (or, capped, drops it if it cannot be kept).
-  void stamp(Cycle when) {
+  EM2_NOINLINE void stamp(Cycle when) {
     for (TrafficEvent& e : pending_) {
       e.when = when;
       keep(e);
