@@ -19,6 +19,7 @@
 
 #include "trace/stream/codec.hpp"
 #include "trace/stream/convert.hpp"
+#include "trace/stream/format.hpp"
 #include "trace/stream/reader.hpp"
 #include "trace/stream/writer.hpp"
 #include "trace/trace.hpp"
@@ -204,15 +205,15 @@ std::vector<std::pair<Bytes, std::size_t>> em2z_chunks(
   const Bytes file((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   std::uint64_t footer = 0;
-  std::memcpy(&footer, file.data() + file.size() - 16, 8);
+  std::memcpy(&footer, file.data() + file.size() - em2s::kTrailerBytes, 8);
   std::vector<std::pair<Bytes, std::size_t>> chunks;
-  for (std::size_t at = 16; at < footer;) {
+  for (std::size_t at = em2s::kHeaderBytes; at < footer;) {
     std::uint32_t payload = 0;
     std::uint32_t raw = 0;
     std::memcpy(&payload, file.data() + at + 8, 4);
     std::memcpy(&raw, file.data() + at + 12, 4);
     const std::uint8_t codec = file[at + 16];
-    at += 21;
+    at += em2s::kChunkHeaderBytes;
     if (codec == 1) {
       chunks.emplace_back(Bytes(file.begin() + static_cast<std::ptrdiff_t>(at),
                                 file.begin() + static_cast<std::ptrdiff_t>(
