@@ -308,7 +308,7 @@ RunReport System::run_with_placement(
   FaultInjector* const faults = injector ? &*injector : nullptr;
   RunReport out;
   if (spec.contention == ContentionMode::kNone) {
-    out = dispatch(traces, spec, placement, workload, cost_, faults);
+    out = dispatch(traces, spec, placement, cost_, faults);
   } else {
     // Two-pass contention flow: pass 1 (calibrate, memoized per workload)
     // derives the corrected hop latencies; pass 2 rebuilds the tables and
@@ -317,7 +317,7 @@ RunReport System::run_with_placement(
     const Calibration cal =
         calibration_for(workload, traces, spec, placement);
     const CostModel corrected(mesh_, config_.cost, cal.hop);
-    out = dispatch(traces, spec, placement, workload, corrected, faults);
+    out = dispatch(traces, spec, placement, corrected, faults);
     out.noc = cal.section;
   }
   out.arch = spec.arch;
@@ -461,15 +461,14 @@ System::Calibration System::calibration_for(
 
 RunReport System::dispatch(const TraceSource& traces, const RunSpec& spec,
                            const Placement& placement,
-                           const workload::Workload* workload,
                            const CostModel& cost,
                            FaultInjector* faults) const {
   if (spec.mode == RunMode::kTrace) {
     return run_trace(traces, spec, placement, cost, nullptr, faults);
   }
-  // Exec and optimal are whole-trace consumers (program compilation, DP
-  // over full sequences): a streamed source without a backing TraceSet is
-  // materialized once here — bounded memory is a trace-mode property.
+  // Exec and optimal are whole-trace consumers (in-place replay cursors,
+  // DP over full sequences): a streamed source without a backing TraceSet
+  // is materialized once here — bounded memory is a trace-mode property.
   const TraceSet* backing = traces.backing_traces();
   std::optional<TraceSet> owned;
   if (backing == nullptr) {
@@ -478,7 +477,7 @@ RunReport System::dispatch(const TraceSource& traces, const RunSpec& spec,
   }
   switch (spec.mode) {
     case RunMode::kExec:
-      return run_exec(*backing, spec, placement, workload, cost, faults);
+      return run_exec(*backing, spec, placement, cost, faults);
     case RunMode::kOptimal:
       return run_optimal_mode(*backing, spec, placement, cost);
     case RunMode::kTrace:
@@ -545,7 +544,6 @@ RunReport System::run_trace(const TraceSource& traces, const RunSpec& spec,
 
 RunReport System::run_exec(const TraceSet& traces, const RunSpec& spec,
                            const Placement& placement,
-                           const workload::Workload* workload,
                            const CostModel& cost,
                            FaultInjector* faults) const {
   ExecParams params;
@@ -561,14 +559,12 @@ RunReport System::run_exec(const TraceSet& traces, const RunSpec& spec,
   params.shards = spec.shards;
   params.skew = spec.skew;
   ExecSystem exec(mesh_, cost, params, placement);
-
-  std::vector<RProgram> programs =
-      workload != nullptr ? workload->programs()
-                          : workload::compile_replay_programs(traces);
-  EM2_ASSERT(programs.size() == traces.num_threads(),
-             "one replay program per thread trace");
-  for (std::size_t t = 0; t < programs.size(); ++t) {
-    exec.add_thread(std::move(programs[t]), traces.thread(t).native_core());
+  // Each thread replays its trace in place.  A cursor throws
+  // std::invalid_argument for an address above 32 bits, before the
+  // engine runs.
+  for (const ThreadTrace& thread : traces.threads()) {
+    exec.add_thread(workload::ReplayCursor(thread, traces.num_threads()),
+                    thread.native_core());
   }
   const ExecReport r = exec.run(spec.max_cycles);
 

@@ -6,8 +6,9 @@
 // sections), no matter which engine executes it:
 //
 //   mode = kTrace    the trace-driven protocol engines (EM2, EM2-RA, CC)
-//   mode = kExec     the execution-driven multicore: real register-ISA
-//                    programs on simulated cores (workload exec ports)
+//   mode = kExec     the execution-driven multicore: each thread's trace
+//                    replayed as register-ISA instructions on simulated
+//                    cores (workload/replay.hpp)
 //   mode = kOptimal  the paper's per-thread DP optimum on the analytical
 //                    model (arch-independent lower bound)
 //
@@ -298,8 +299,9 @@ class System {
                 const RunSpec& spec = {}) const;
 
   /// Same over any TraceSource, with no name and no placement caching.
-  /// An in-memory TraceSet runs as-is; exec mode compiles it into replay
-  /// programs on the fly.  An on-disk TraceStream is the out-of-core
+  /// An in-memory TraceSet runs as-is; exec mode replays it in place
+  /// (workload/replay.hpp) and throws std::invalid_argument for an
+  /// address above 32 bits.  An on-disk TraceStream is the out-of-core
   /// entry point: the trace-mode engines run under spec.stream_window
   /// bytes of resident trace memory, with a report byte-identical to the
   /// same trace run in memory (one engine loop serves both).  Exec and
@@ -390,11 +392,10 @@ class System {
   /// the run's injector; null keeps every engine bit-identical to the
   /// fault-free build.  Trace mode streams through the source's cursors;
   /// exec and optimal modes materialize sources without a backing
-  /// TraceSet (program compilation / DP need whole sequences).
+  /// TraceSet (the replay cursors and the DP need whole sequences).
   RunReport dispatch(const TraceSource& traces, const RunSpec& spec,
-                     const Placement& placement,
-                     const workload::Workload* workload,
-                     const CostModel& cost, FaultInjector* faults) const;
+                     const Placement& placement, const CostModel& cost,
+                     FaultInjector* faults) const;
   /// `recorder` (nullable) captures the protocol's packets — the
   /// calibration pass is run_trace against the uncontended tables with a
   /// recorder attached, so pass 1 and pass 2 share ONE per-arch dispatch.
@@ -403,9 +404,8 @@ class System {
                       TrafficRecorder* recorder = nullptr,
                       FaultInjector* faults = nullptr) const;
   RunReport run_exec(const TraceSet& traces, const RunSpec& spec,
-                     const Placement& placement,
-                     const workload::Workload* workload,
-                     const CostModel& cost, FaultInjector* faults) const;
+                     const Placement& placement, const CostModel& cost,
+                     FaultInjector* faults) const;
   RunReport run_optimal_mode(const TraceSet& traces, const RunSpec& spec,
                              const Placement& placement,
                              const CostModel& cost) const;

@@ -8,13 +8,17 @@ RegInterpreter::RegInterpreter(RProgram program)
     : program_(std::move(program)) {}
 
 StepResult RegInterpreter::step(ExecutionContext& ctx) const {
-  StepResult result;
   if (ctx.halted || ctx.pc >= program_.size()) {
     ctx.halted = true;
+    StepResult result;
     result.kind = StepKind::kDone;
     return result;
   }
-  const RInstr& ins = program_[ctx.pc];
+  return execute(program_[ctx.pc], ctx);
+}
+
+StepResult RegInterpreter::execute(const RInstr& ins, ExecutionContext& ctx) {
+  StepResult result;
   auto rs = [&] { return ctx.regs[ins.rs]; };
   auto rt = [&] { return ctx.regs[ins.rt]; };
   auto set_rd = [&](std::uint32_t v) {

@@ -51,6 +51,8 @@ struct RInstr {
   std::uint8_t rs = 0;
   std::uint8_t rt = 0;
   std::int32_t imm = 0;
+
+  friend bool operator==(const RInstr&, const RInstr&) = default;
 };
 
 /// A register-machine program (instruction memory is per-thread and
@@ -134,6 +136,11 @@ class RegInterpreter {
   /// caller performs the access (and for loads calls complete_load).
   StepResult step(ExecutionContext& ctx) const;
 
+  /// Retires `ins` as the instruction at ctx.pc: the one executor, shared
+  /// by step() and by instruction sources that hold no program (the trace
+  /// replay cursor, workload/replay.hpp).
+  static StepResult execute(const RInstr& ins, ExecutionContext& ctx);
+
   /// Finishes a yielded load by writing the value to its destination.
   static void complete_load(ExecutionContext& ctx, std::uint8_t dst_reg,
                             std::uint32_t value);
@@ -154,11 +161,6 @@ class RegInterpreter {
 class RAsm {
  public:
   RAsm& nop() { return emit({ROp::kNop, 0, 0, 0, 0}); }
-  /// Appends `n` nops in one step.
-  RAsm& nops(std::size_t n) {
-    program_.resize(program_.size() + n);  // RInstr{} is a nop
-    return *this;
-  }
   RAsm& halt() { return emit({ROp::kHalt, 0, 0, 0, 0}); }
   RAsm& addi(std::uint8_t rd, std::uint8_t rs, std::int32_t imm) {
     return emit({ROp::kAddi, rd, rs, 0, imm});
@@ -199,11 +201,6 @@ class RAsm {
   /// resolved after the target address is known).
   RAsm& patch_imm(std::int32_t index, std::int32_t imm) {
     program_[static_cast<std::size_t>(index)].imm = imm;
-    return *this;
-  }
-  /// Pre-sizes the program for `n` instructions.
-  RAsm& reserve(std::size_t n) {
-    program_.reserve(n);
     return *this;
   }
   RProgram build() const& { return program_; }

@@ -310,7 +310,7 @@ struct RelaxedEngine {
 
   void step_owned(Shard& s, ThreadId chosen) {
     ExecSystem::Thread& th = sys.threads_[static_cast<std::size_t>(chosen)];
-    const StepResult r = th.interp->step(th.ctx);
+    const StepResult r = th.step();
     ++s.instructions;
     s.last_progress = s.now;
     switch (r.kind) {

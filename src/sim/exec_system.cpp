@@ -20,11 +20,18 @@ ExecSystem::ExecSystem(const Mesh& mesh, const CostModel& cost,
 ExecSystem::~ExecSystem() = default;
 
 ThreadId ExecSystem::add_thread(RProgram program, CoreId native) {
+  return push_thread(Thread{RegInterpreter(std::move(program))}, native);
+}
+
+ThreadId ExecSystem::add_thread(workload::ReplayCursor replay,
+                                CoreId native) {
+  return push_thread(Thread{replay}, native);
+}
+
+ThreadId ExecSystem::push_thread(Thread th, CoreId native) {
   EM2_ASSERT(!started_, "threads must be added before run()");
   EM2_ASSERT(native >= 0 && native < mesh_.num_cores(),
              "native core outside the mesh");
-  Thread th;
-  th.interp = std::make_unique<RegInterpreter>(std::move(program));
   th.ctx.thread = static_cast<ThreadId>(threads_.size());
   th.ctx.native_core = native;
   threads_.push_back(std::move(th));
@@ -264,7 +271,7 @@ void ExecSystem::on_thread_moved(ThreadId t, CoreId from, CoreId to) {
 
 void ExecSystem::step_thread(ThreadId chosen) {
   Thread& th = threads_[static_cast<std::size_t>(chosen)];
-  const StepResult r = th.interp->step(th.ctx);
+  const StepResult r = th.step();
   ++report_.instructions;
   last_progress_ = now_;
   switch (r.kind) {

@@ -39,6 +39,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "arch/reg_isa.hpp"
@@ -54,6 +55,7 @@
 #include "sim/modes.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
+#include "workload/replay.hpp"
 
 namespace em2 {
 
@@ -168,6 +170,10 @@ class ExecSystem final : private ThreadMoveObserver {
 
   /// Adds a thread running `program`, native to `native`.
   ThreadId add_thread(RProgram program, CoreId native);
+  /// Adds a thread that replays a trace in place: `replay` yields the
+  /// instructions compile_replay_programs would store (its trace must
+  /// outlive run()).
+  ThreadId add_thread(workload::ReplayCursor replay, CoreId native);
 
   /// Pre-initializes functional memory (registered with the checker).
   void poke(Addr addr, std::uint32_t value);
@@ -192,10 +198,21 @@ class ExecSystem final : private ThreadMoveObserver {
 
  private:
   struct Thread {
-    std::unique_ptr<RegInterpreter> interp;
+    /// Where the instructions come from: a stored program, or a cursor
+    /// replaying a trace in place.
+    std::variant<RegInterpreter, workload::ReplayCursor> code;
     ExecutionContext ctx;
     Cycle ready_at = 0;
     bool halted = false;
+
+    /// Retires the next instruction: the one fetch point through which
+    /// both sequential schedulers and the relaxed engine step a thread.
+    StepResult step() {
+      if (auto* replay = std::get_if<workload::ReplayCursor>(&code)) {
+        return RegInterpreter::execute(replay->next(), ctx);
+      }
+      return std::get<RegInterpreter>(code).step(ctx);
+    }
   };
 
   /// Pending wakeup of a stalled thread.  Entries are never removed when a
@@ -265,6 +282,8 @@ class ExecSystem final : private ThreadMoveObserver {
   /// machine's thread locations (registered only in kEventDriven mode).
   void on_thread_moved(ThreadId t, CoreId from, CoreId to) override;
 
+  /// Shared tail of the add_thread overloads.
+  ThreadId push_thread(Thread th, CoreId native);
   /// Instantiates the protocol machine for params_.arch.
   void init_machines();
   /// Issues one instruction from `chosen` (shared by both schedulers).

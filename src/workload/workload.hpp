@@ -1,17 +1,17 @@
-// Workload: ONE handle per named workload that can materialize as either
-// a memory trace (the analytical/trace-driven engines) or an executable
-// register-ISA program suite (the execution-driven engine) — same seed,
-// same logical access stream.
+// Workload: ONE handle per named workload that runs in every mode from
+// one memory trace — same seed, same logical access stream.
 //
 // The paper's claims are about *programs* whose computation migrates, but
-// the registry kernels historically produced only TraceSets, so 1000-core
-// execution-driven runs had nothing to execute.  A Workload closes that
-// gap: the trace IS the specification of the program's memory behaviour,
-// and programs() compiles each thread's trace into a register-ISA program
-// that replays exactly that access stream (same addresses, same ops, same
-// order, `gap` filler instructions preserved), so the trace-driven and
-// execution-driven modes of System::run see the same logical workload and
-// their access mixes are directly comparable.
+// the registry kernels produce TraceSets.  The trace IS the specification
+// of the program's memory behaviour: exec mode replays each thread's
+// trace on the register machine through a ReplayCursor
+// (workload/replay.hpp), which yields the replay program (same addresses,
+// same ops, same order, `gap` filler instructions preserved) one
+// instruction at a time without materializing it.  So the trace-driven
+// and execution-driven modes of System::run see the same logical
+// workload and their access mixes are directly comparable.  programs()
+// drains the same cursors into a stored program suite for callers that
+// drive ExecSystem with programs of their own.
 #pragma once
 
 #include <cstdint>
@@ -22,21 +22,12 @@
 #include "arch/reg_isa.hpp"
 #include "trace/trace.hpp"
 #include "util/types.hpp"
+#include "workload/replay.hpp"
 
 namespace em2::workload {
 
-/// Compiles every thread of `traces` into a register-ISA program that
-/// replays the thread's access stream verbatim: each Access becomes one
-/// lw/sw (plus `gap` filler instructions before it), reads sink into a
-/// scratch register, and writes store a globally unique rolling value
-/// (start = thread + 1, stride = thread count) so the sequential-
-/// consistency witness can tell any two stores apart.  Program i belongs
-/// to traces.thread(i) and runs native on that thread's native core.
-/// Requires every address to fit the 32-bit register machine.
-std::vector<RProgram> compile_replay_programs(const TraceSet& traces);
-
 /// A named workload at a fixed (threads, scale, seed) operating point,
-/// carrying both generators.  Handles are cheap to copy (the trace is
+/// carrying its trace.  Handles are cheap to copy (the trace is
 /// shared, immutable) and safe to use concurrently from sweep workers.
 class Workload {
  public:
@@ -58,8 +49,10 @@ class Workload {
     return traces_;
   }
 
-  /// The executable suite: one replay program per thread (compiled on
-  /// demand from the same traces; pure function, thread-safe).
+  /// The replay programs as a stored suite, one per thread
+  /// (compile_replay_programs over the same traces; pure function,
+  /// thread-safe).  System::run does not call it: exec mode replays the
+  /// traces in place.
   std::vector<RProgram> programs() const {
     return compile_replay_programs(*traces_);
   }

@@ -5,12 +5,14 @@
 // trace-driven run at the same seed.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "api/system.hpp"
 #include "arch/reg_isa.hpp"
 #include "workload/registry.hpp"
+#include "workload/replay.hpp"
 #include "workload/workload.hpp"
 
 namespace em2 {
@@ -60,6 +62,17 @@ TEST(RegistryExec, ReplayProgramsReproduceTraceStreamExactly) {
   }
 }
 
+/// Drains `cursor` up to and including its first halt.
+std::vector<RInstr> drain(workload::ReplayCursor cursor) {
+  std::vector<RInstr> out;
+  for (;;) {
+    out.push_back(cursor.next());
+    if (out.back().op == ROp::kHalt) {
+      return out;
+    }
+  }
+}
+
 TEST(RegistryExec, ReplayHandlesGapsAndHighAddresses) {
   TraceSet traces(64);
   ThreadTrace t0(0, 0);
@@ -67,14 +80,79 @@ TEST(RegistryExec, ReplayHandlesGapsAndHighAddresses) {
   t0.append(0x9000'0040ull, MemOp::kWrite);  // above 2^31
   t0.append(0xFFFF'FFFCull, MemOp::kRead);   // top of the 32-bit space
   traces.add_thread(std::move(t0));
+  traces.add_thread(ThreadTrace(1, 1));  // an empty thread
+  ThreadTrace t2(2, 2);
+  t2.append(0x7FFF'FFFCull, MemOp::kWrite, /*gap=*/1);  // last low word
+  t2.append(0x8000'0000ull, MemOp::kWrite, /*gap=*/2);  // first high word
+  traces.add_thread(std::move(t2));
   const auto programs = workload::compile_replay_programs(traces);
-  ASSERT_EQ(programs.size(), 1u);
+  ASSERT_EQ(programs.size(), 3u);
   const std::vector<Access> got = replayed_accesses(programs[0], 0, 0);
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].addr, 0x1000u);
   EXPECT_EQ(got[1].addr, 0x9000'0040ull);
   EXPECT_EQ(got[1].op, MemOp::kWrite);
   EXPECT_EQ(got[2].addr, 0xFFFF'FFFCull);
+  // The empty thread seeds its store value and halts; the 2^31 edge
+  // splits between the immediate and the high-base register.
+  EXPECT_EQ(programs[1], RAsm().addi(2, 0, 2).halt().build());
+  EXPECT_EQ(programs[2], RAsm()
+                             .addi(2, 0, 3)
+                             .addi(3, 0, 0x4000'0000)
+                             .add(3, 3, 3)
+                             .nop()
+                             .sw(2, 0, 0x7FFF'FFFC)
+                             .addi(2, 2, 3)
+                             .nop()
+                             .nop()
+                             .sw(2, 3, 0)
+                             .addi(2, 2, 3)
+                             .halt()
+                             .build());
+
+  // The cursor exec mode runs yields exactly the stored programs, and
+  // keeps yielding halt once a stream is exhausted.
+  for (std::size_t t = 0; t < programs.size(); ++t) {
+    const workload::ReplayCursor cursor(traces.thread(t),
+                                        traces.num_threads());
+    EXPECT_EQ(cursor.length(), programs[t].size()) << "thread " << t;
+    EXPECT_EQ(drain(cursor), programs[t]) << "thread " << t;
+    workload::ReplayCursor done = cursor;
+    for (std::size_t i = 0; i < programs[t].size(); ++i) {
+      (void)done.next();
+    }
+    EXPECT_EQ(done.next().op, ROp::kHalt) << "thread " << t;
+  }
+}
+
+/// An address the 32-bit register machine cannot reach is a named error
+/// at the exec-mode entry, not an abort inside the replay encoding.
+TEST(RegistryExec, ExecModeRejectsAddressesAbove32Bits) {
+  TraceSet traces(64);
+  ThreadTrace t0(0, 0);
+  t0.append(0x1000, MemOp::kRead);
+  traces.add_thread(std::move(t0));
+  ThreadTrace t1(1, 1);
+  t1.append(0x2000, MemOp::kWrite);
+  t1.append(0x1'0000'0000ull, MemOp::kRead);
+  traces.add_thread(std::move(t1));
+  SystemConfig cfg;
+  cfg.threads = 2;
+  const System sys(cfg);
+  for (const MemArch arch : {MemArch::kEm2, MemArch::kEm2Ra, MemArch::kCc}) {
+    try {
+      (void)sys.run(traces, {.arch = arch, .mode = RunMode::kExec});
+      ADD_FAILURE() << "exec mode accepted a 64-bit address";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("thread 1"), std::string::npos) << what;
+      EXPECT_NE(what.find("0x100000000"), std::string::npos) << what;
+    }
+  }
+  EXPECT_THROW((void)workload::compile_replay_programs(traces),
+               std::invalid_argument);
+  // Trace mode has no register machine and runs the same trace.
+  EXPECT_EQ(sys.run(traces).accesses, 3u);
 }
 
 TEST(RegistryExec, StoreValuesAreDistinctPerThread) {

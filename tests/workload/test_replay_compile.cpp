@@ -1,7 +1,8 @@
-// compile_replay_programs sizes every program exactly up front and moves
-// it out of the builder.  The compiled suite must stay instruction-for-
-// instruction what the grow-by-push_back compiler emitted: the digest
-// below was recorded from that compiler on ocean at 16 threads.
+// compile_replay_programs drains each thread's ReplayCursor into an
+// exactly sized program, so these cases pin the replay encoding that exec
+// mode runs in place.  The suite must stay instruction-for-instruction
+// what the original grow-by-push_back compiler emitted: the digest below
+// was recorded from that compiler on ocean at 16 threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
