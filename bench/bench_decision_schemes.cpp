@@ -75,9 +75,7 @@ int main(int argc, char** argv) {
               em2::home_sequence(thread, *traces, *placement);
           std::vector<em2::MemOp> ops;
           ops.reserve(thread.size());
-          for (const auto& a : thread.accesses()) {
-            ops.push_back(a.op);
-          }
+          thread.for_each([&](const em2::Access& a) { ops.push_back(a.op); });
           model_traces.push_back(
               em2::make_model_trace(homes, ops, thread.native_core()));
           res.optimal += em2::solve_optimal_migrate_ra(model_traces.back(),

@@ -47,9 +47,7 @@ int main(int argc, char** argv) {
     for (const auto& thread : traces->threads()) {
       const auto homes = em2::home_sequence(thread, *traces, *placement);
       std::vector<em2::MemOp> ops;
-      for (const auto& a : thread.accesses()) {
-        ops.push_back(a.op);
-      }
+      thread.for_each([&](const em2::Access& a) { ops.push_back(a.op); });
       mts.push_back(em2::make_model_trace(homes, ops, thread.native_core()));
       optimal += em2::solve_optimal_migrate_ra(mts.back(), sys.cost_model())
                      .total_cost;

@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
   const em2::ThreadTrace& thread = traces->thread(tid);
   const auto homes = em2::home_sequence(thread, *traces, *placement);
   std::vector<em2::MemOp> ops;
-  for (const auto& a : thread.accesses()) {
-    ops.push_back(a.op);
-  }
+  thread.for_each([&](const em2::Access& a) { ops.push_back(a.op); });
   const em2::ModelTrace mt =
       em2::make_model_trace(homes, ops, thread.native_core());
 

@@ -93,10 +93,10 @@ int main(int argc, char** argv) {
       std::uint64_t reads = 0;
       std::uint64_t writes = 0;
       std::vector<em2::Addr> blocks;
-      for (const auto& a : thread.accesses()) {
+      thread.for_each([&](const em2::Access& a) {
         (a.op == em2::MemOp::kRead ? reads : writes) += 1;
         blocks.push_back(traces->block_of(a.addr));
-      }
+      });
       std::sort(blocks.begin(), blocks.end());
       blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
       t.begin_row()

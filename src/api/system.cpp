@@ -614,9 +614,7 @@ RunReport System::run_optimal_mode(const TraceSet& traces,
         home_sequence(thread, traces, placement);
     std::vector<MemOp> ops;
     ops.reserve(thread.size());
-    for (const auto& a : thread.accesses()) {
-      ops.push_back(a.op);
-    }
+    thread.for_each([&](const Access& a) { ops.push_back(a.op); });
     const ModelTrace mt =
         make_model_trace(homes, ops, thread.native_core());
     const MigrateRaSolution sol = solve_optimal_migrate_ra(mt, cost);

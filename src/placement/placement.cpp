@@ -114,9 +114,9 @@ std::vector<CoreId> home_sequence(const ThreadTrace& thread,
                                   const Placement& placement) {
   std::vector<CoreId> homes;
   homes.reserve(thread.size());
-  for (const auto& a : thread.accesses()) {
+  thread.for_each([&](const Access& a) {
     homes.push_back(placement.home_of_block(traces.block_of(a.addr)));
-  }
+  });
   return homes;
 }
 

@@ -11,9 +11,7 @@ bool write_trace_stream(const std::string& path, const TraceSet& traces,
   }
   TraceWriter writer(path, traces.block_bytes(), natives, opts);
   for (std::size_t t = 0; t < traces.num_threads(); ++t) {
-    for (const Access& a : traces.thread(t).accesses()) {
-      writer.append(t, a);
-    }
+    traces.thread(t).for_each([&](const Access& a) { writer.append(t, a); });
   }
   return writer.close();
 }

@@ -6,22 +6,49 @@
 #include "util/assert.hpp"
 
 namespace em2 {
-namespace {
+namespace detail {
 
-/// The whole thread is one batch: next() never leaves the inline fast
-/// path until the stream ends.
+/// A wide thread is one batch, walked in place: next() never leaves the
+/// inline fast path until the stream ends.  A narrow thread is decoded
+/// kBatch accesses at a time into the cursor's own buffer.
 class MemoryCursor final : public AccessCursor {
  public:
-  explicit MemoryCursor(std::span<const Access> accesses) {
-    cur_ = accesses.data();
-    end_ = accesses.data() + accesses.size();
+  explicit MemoryCursor(const ThreadTrace& trace) : trace_(trace) {
+    if (trace.wide()) {
+      cur_ = trace.wide_.data();
+      end_ = cur_ + trace.wide_.size();
+    }
   }
 
  protected:
-  void refill() override {}  // one batch; nothing more to load
+  void refill() override {
+    const std::vector<ThreadTrace::Packed>& narrow = trace_.narrow_;
+    const std::size_t n = std::min(kBatch, narrow.size() - next_);
+    for (std::size_t i = 0; i < n; ++i) {
+      batch_[i] = ThreadTrace::unpack(narrow[next_ + i]);
+    }
+    next_ += n;
+    cur_ = batch_;
+    end_ = batch_ + n;
+  }
+
+ private:
+  static constexpr std::size_t kBatch = 64;
+
+  const ThreadTrace& trace_;
+  std::size_t next_ = 0;  // first narrow record not yet decoded
+  Access batch_[kBatch];
 };
 
-}  // namespace
+}  // namespace detail
+
+void ThreadTrace::widen() {
+  wide_.reserve(std::max(narrow_.capacity(), narrow_.size() + 1));
+  for (const Packed p : narrow_) {
+    wide_.push_back(unpack(p));
+  }
+  std::vector<Packed>().swap(narrow_);
+}
 
 TraceSet::TraceSet(std::uint32_t block_bytes) {
   EM2_ASSERT(block_bytes >= 1 && std::has_single_bit(block_bytes),
@@ -38,7 +65,7 @@ void TraceSet::add_thread(ThreadTrace trace) {
 
 std::unique_ptr<AccessCursor> TraceSet::make_cursor(
     std::size_t thread) const {
-  return std::make_unique<MemoryCursor>(threads_[thread].accesses());
+  return std::make_unique<detail::MemoryCursor>(threads_[thread]);
 }
 
 std::uint64_t TraceSet::total_accesses() const noexcept {
@@ -52,9 +79,7 @@ std::uint64_t TraceSet::total_accesses() const noexcept {
 std::vector<Addr> TraceSet::touched_blocks() const {
   std::vector<Addr> blocks;
   for (const auto& t : threads_) {
-    for (const auto& a : t.accesses()) {
-      blocks.push_back(block_of(a.addr));
-    }
+    t.for_each([&](const Access& a) { blocks.push_back(block_of(a.addr)); });
   }
   std::sort(blocks.begin(), blocks.end());
   blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());

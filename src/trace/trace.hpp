@@ -7,13 +7,21 @@
 // since the previous access (used by the execution-driven simulator for
 // timing, and by cost accounting for instructions executed at remote cores).
 //
+// A ThreadTrace stores its accesses in one of two layouts.  Narrow: 8
+// bytes per access, a 32-bit address and a 32-bit `gap << 1 | op`; every
+// registry workload fits.  Wide: the 16-byte Access itself.  A thread is
+// narrow until it appends an access whose address needs more than 32 bits
+// or whose gap needs 31 or more, and then re-lays itself out wide once.
+// Only this module knows the narrow encoding; callers see Access values.
+//
 // The trace-mode engines do not need the full trace: they consume each
 // thread's accesses in program order, one per round-robin turn of the
 // trace driver (trace/round_robin.hpp).  TraceSource captures exactly that
 // contract — per-thread metadata plus a forward AccessCursor — and has two
-// implementations: TraceSet itself (zero-copy cursors over its vectors)
-// and the on-disk EM2S reader TraceStream (trace/stream/reader.hpp,
-// bounded-memory batches).  One driver serves both, so streamed and
+// implementations: TraceSet itself (cursors that decode a narrow thread
+// 64 accesses at a time and walk a wide one in place) and the on-disk
+// EM2S reader TraceStream (trace/stream/reader.hpp, bounded-memory
+// batches).  One driver serves both, so streamed and
 // in-memory runs are the same code path and their reports are
 // byte-identical by construction.
 #pragma once
@@ -40,7 +48,12 @@ struct Access {
   friend bool operator==(const Access&, const Access&) = default;
 };
 
-/// The dynamic memory-access sequence of a single thread.
+namespace detail {
+class MemoryCursor;
+}  // namespace detail
+
+/// The dynamic memory-access sequence of a single thread, narrow or wide
+/// (see the file comment).
 class ThreadTrace {
  public:
   ThreadTrace() = default;
@@ -53,30 +66,87 @@ class ThreadTrace {
   /// and (for stack-EM2) its stack memory live.
   CoreId native_core() const noexcept { return native_core_; }
 
-  void append(Access a) { accesses_.push_back(a); }
+  void append(Access a) {
+    max_addr_ = a.addr > max_addr_ ? a.addr : max_addr_;
+    if (wide_.empty()) {
+      if (a.addr <= kNarrowMaxAddr && a.gap <= kNarrowMaxGap) {
+        narrow_.push_back(Packed{static_cast<std::uint32_t>(a.addr),
+                                 a.gap << 1 |
+                                     static_cast<std::uint32_t>(a.op)});
+        return;
+      }
+      widen();
+    }
+    wide_.push_back(a);
+  }
   void append(Addr addr, MemOp op, std::uint32_t gap = 0) {
-    accesses_.push_back(Access{addr, op, gap});
+    append(Access{addr, op, gap});
   }
 
-  std::size_t size() const noexcept { return accesses_.size(); }
-  bool empty() const noexcept { return accesses_.empty(); }
-  const Access& operator[](std::size_t i) const noexcept {
-    return accesses_[i];
+  std::size_t size() const noexcept {
+    return wide_.empty() ? narrow_.size() : wide_.size();
   }
-  std::span<const Access> accesses() const noexcept { return accesses_; }
+  bool empty() const noexcept { return size() == 0; }
+  Access operator[](std::size_t i) const noexcept {
+    return wide_.empty() ? unpack(narrow_[i]) : wide_[i];
+  }
 
-  void reserve(std::size_t n) { accesses_.reserve(n); }
+  /// Calls f(const Access&) for each access in program order.
+  template <class F>
+  void for_each(F&& f) const {
+    if (wide_.empty()) {
+      for (const Packed p : narrow_) {
+        f(unpack(p));
+      }
+    } else {
+      for (const Access& a : wide_) {
+        f(a);
+      }
+    }
+  }
+
+  /// The largest address appended; 0 for an empty thread.
+  Addr max_addr() const noexcept { return max_addr_; }
+
+  /// Whether the thread holds 16-byte records (an access outgrew the
+  /// 8-byte layout).
+  bool wide() const noexcept { return !wide_.empty(); }
 
  private:
+  friend class detail::MemoryCursor;
+
+  /// The narrow record: the address, and the gap shifted over the op.
+  struct Packed {
+    std::uint32_t addr;
+    std::uint32_t gap_op;
+  };
+  static_assert(static_cast<std::uint32_t>(MemOp::kWrite) == 1,
+                "the narrow layout keeps the op in one bit");
+  static constexpr Addr kNarrowMaxAddr = 0xFFFF'FFFFull;
+  static constexpr std::uint32_t kNarrowMaxGap = 0x7FFF'FFFFu;
+
+  static Access unpack(Packed p) noexcept {
+    return Access{p.addr, static_cast<MemOp>(p.gap_op & 1), p.gap_op >> 1};
+  }
+
+  /// Moves every narrow record into wide_ and frees narrow_.  The caller
+  /// appends the access that did not fit, so wide_ is non-empty after.
+  void widen();
+
   ThreadId thread_ = kNoThread;
   CoreId native_core_ = kNoCore;
-  std::vector<Access> accesses_;
+  Addr max_addr_ = 0;
+  // Exactly one layout holds the accesses: wide_ once it is non-empty,
+  // else narrow_.
+  std::vector<Packed> narrow_;
+  std::vector<Access> wide_;
 };
 
 /// Forward iterator over one thread's accesses.  next() is non-virtual
 /// and inlines to a pointer bump in the common case; implementations only
-/// pay an indirect call per exhausted batch (refill), so the in-memory
-/// path costs the same as indexing the ThreadTrace vector directly.
+/// pay an indirect call per exhausted batch (refill): every 64 accesses
+/// of a narrow in-memory thread, which the refill decodes into the
+/// cursor's own batch, and never for a wide one, walked in place.
 class AccessCursor {
  public:
   virtual ~AccessCursor() = default;
@@ -195,7 +265,8 @@ class TraceSource {
 
 /// A whole-application trace in memory: one ThreadTrace per thread, plus
 /// the block (cache-line) size that placement operates on.  As a
-/// TraceSource its cursors walk the thread vectors in place.
+/// TraceSource its cursors decode narrow threads in 64-access batches and
+/// walk wide threads in place.
 class TraceSet final : public TraceSource {
  public:
   explicit TraceSet(std::uint32_t block_bytes = 64);

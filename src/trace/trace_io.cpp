@@ -51,13 +51,13 @@ bool write_trace_text(std::ostream& os, const TraceSet& traces) {
   os << "blocksize " << traces.block_bytes() << "\n";
   for (const auto& t : traces.threads()) {
     os << "thread " << t.thread() << " native " << t.native_core() << "\n";
-    for (const auto& a : t.accesses()) {
+    t.for_each([&](const Access& a) {
       os << to_string(a.op) << " " << std::hex << a.addr << std::dec;
       if (a.gap != 0) {
         os << " " << a.gap;
       }
       os << "\n";
-    }
+    });
   }
   return static_cast<bool>(os);
 }

@@ -9,36 +9,35 @@
 namespace em2::workload {
 
 ReplayCursor::ReplayCursor(const ThreadTrace& thread, std::size_t num_threads)
-    : at_(thread.accesses().data()),
-      end_(thread.accesses().data() + thread.size()),
+    : trace_(&thread),
+      end_(thread.size()),
       stride_(static_cast<std::int32_t>(std::max<std::size_t>(num_threads, 1))) {
-  // One pass checks every address, finds whether the high base is needed
-  // and sizes the stream: the value seed, the optional high-base pair,
-  // gap nops plus lw (reads) or sw + addi (writes) per access, the halt.
-  bool needs_high = false;
-  length_ = 2;
-  for (const Access& acc : thread.accesses()) {
-    if (acc.addr > 0xFFFF'FFFFull) {
-      char addr[24];
-      std::snprintf(addr, sizeof addr, "0x%llx",
-                    static_cast<unsigned long long>(acc.addr));
-      throw std::invalid_argument(
-          "exec mode replays 32-bit addresses: thread " +
-          std::to_string(thread.thread()) + " accesses " + addr);
+  if (thread.max_addr() > 0xFFFF'FFFFull) {
+    // Name the first address out of reach.
+    for (std::size_t i = 0;; ++i) {
+      const Addr addr = thread[i].addr;
+      if (addr > 0xFFFF'FFFFull) {
+        char text[24];
+        std::snprintf(text, sizeof text, "0x%llx",
+                      static_cast<unsigned long long>(addr));
+        throw std::invalid_argument(
+            "exec mode replays 32-bit addresses: thread " +
+            std::to_string(thread.thread()) + " accesses " + text);
+      }
     }
-    needs_high = needs_high || acc.addr >= kHighBaseValue;
-    length_ += acc.gap + (acc.op == MemOp::kRead ? 1u : 2u);
   }
   stage_[0] = RInstr{ROp::kAddi, kValue, 0, 0,
                      static_cast<std::int32_t>(thread.thread()) + 1};
   staged_end_ = 1;
-  if (needs_high) {
+  if (thread.max_addr() >= kHighBaseValue) {
     stage_[1] = RInstr{ROp::kAddi, kHighBase, 0, 0, 0x4000'0000};
     stage_[2] = RInstr{ROp::kAdd, kHighBase, kHighBase, kHighBase, 0};
     staged_end_ = 3;
-    length_ += 2;
   }
-  nops_ = at_ != end_ ? at_->gap : 0;
+  if (end_ != 0) {
+    pending_ = thread[0];
+    nops_ = pending_.gap;
+  }
 }
 
 std::vector<RProgram> compile_replay_programs(const TraceSet& traces) {
@@ -46,7 +45,13 @@ std::vector<RProgram> compile_replay_programs(const TraceSet& traces) {
   programs.reserve(traces.num_threads());
   for (const ThreadTrace& thread : traces.threads()) {
     ReplayCursor cursor(thread, traces.num_threads());
-    RProgram program(cursor.length());
+    // The stream's length: the staged prologue and the halt, then gap nops
+    // plus lw (reads) or sw + addi (writes) per access.
+    std::size_t length = cursor.staged_end_ + 1u;
+    thread.for_each([&](const Access& acc) {
+      length += acc.gap + (acc.op == MemOp::kRead ? 1u : 2u);
+    });
+    RProgram program(length);
     for (RInstr& ins : program) {
       ins = cursor.next();
     }

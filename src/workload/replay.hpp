@@ -36,13 +36,15 @@
 namespace em2::workload {
 
 /// Yields the replay program of one thread trace (see the file comment),
-/// one instruction per next() call.  Holds pointers into the trace, which
+/// one instruction per next() call.  Walks the trace by index; the trace
 /// must outlive the cursor.
 class ReplayCursor {
  public:
   /// `num_threads` sets the store-value stride.  Throws
-  /// std::invalid_argument naming the thread and the address when an
-  /// access lies above the 32-bit space the register machine addresses.
+  /// std::invalid_argument naming the thread and the first address that
+  /// lies above the 32-bit space the register machine addresses.  O(1)
+  /// unless it throws: ThreadTrace::max_addr() answers both whether any
+  /// address is too high and whether the high base is needed.
   ReplayCursor(const ThreadTrace& thread, std::size_t num_threads);
 
   /// The next instruction of the stream; halt once it is exhausted.
@@ -57,8 +59,11 @@ class ReplayCursor {
     if (at_ == end_) {
       return RInstr{ROp::kHalt, 0, 0, 0, 0};
     }
-    const Access& acc = *at_++;
-    nops_ = at_ != end_ ? at_->gap : 0;
+    const Access acc = pending_;
+    if (++at_ != end_) {
+      pending_ = (*trace_)[at_];
+      nops_ = pending_.gap;
+    }
     const bool high = acc.addr >= kHighBaseValue;
     const std::uint8_t rs = high ? kHighBase : 0;
     const auto imm =
@@ -72,25 +77,25 @@ class ReplayCursor {
     return RInstr{ROp::kSw, 0, rs, kValue, imm};
   }
 
-  /// Instructions in the whole stream, the halt included.
-  std::size_t length() const noexcept { return length_; }
-
  private:
+  friend std::vector<RProgram> compile_replay_programs(const TraceSet&);
+
   static constexpr std::uint8_t kSink = 1;
   static constexpr std::uint8_t kValue = 2;
   static constexpr std::uint8_t kHighBase = 3;
   static constexpr Addr kHighBaseValue = 0x8000'0000ull;
 
-  const Access* at_ = nullptr;
-  const Access* end_ = nullptr;
-  std::uint32_t nops_ = 0;  // gap nops still due before *at_
+  const ThreadTrace* trace_ = nullptr;
+  std::size_t at_ = 0;  // index of pending_, the next access to issue
+  std::size_t end_ = 0;
+  Access pending_{};
+  std::uint32_t nops_ = 0;  // gap nops still due before pending_
   std::int32_t stride_ = 1;
   // stage_[staged_, staged_end_) is due before the next gap: the
   // prologue, or the value update that follows a store.
   RInstr stage_[3]{};
   std::uint8_t staged_ = 0;
   std::uint8_t staged_end_ = 0;
-  std::size_t length_ = 0;
 };
 
 /// Every thread of `traces` drained from its ReplayCursor into a

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "trace/stream/convert.hpp"
 #include "trace/stream/reader.hpp"
@@ -98,19 +100,39 @@ TraceSet spill(const std::string& path, std::int32_t threads,
   return *std::move(traces);
 }
 
+/// `traces` with thread 5 widened by a final 64-bit access: a set that
+/// mixes the narrow and the wide in-memory layouts.
+TraceSet with_one_wide_thread(const TraceSet& traces) {
+  TraceSet out(traces.block_bytes());
+  for (std::size_t t = 0; t < traces.num_threads(); ++t) {
+    ThreadTrace thread = traces.thread(t);
+    if (t == 5) {
+      thread.append(0x1'0000'0040ull, MemOp::kWrite, 2);
+    }
+    out.add_thread(std::move(thread));
+  }
+  EXPECT_TRUE(out.thread(5).wide());
+  EXPECT_FALSE(out.thread(4).wide());
+  return out;
+}
+
 TEST(StreamRuns, TraceModeMatchesInMemoryOnAllArches) {
   const std::string path = tmp_path("arches.em2s");
-  const TraceSet traces = spill(path, 16, 11);
+  const TraceSet narrow = spill(path, 16, 11);
+  const TraceSet mixed = with_one_wide_thread(narrow);
   System sys({.threads = 16});
-  for (const MemArch arch :
-       {MemArch::kEm2, MemArch::kEm2Ra, MemArch::kCc}) {
-    RunSpec spec;
-    spec.arch = arch;
-    spec.policy = "history";
-    const RunReport memory = sys.run(traces, spec);
-    const TraceStream stream(path);
-    const RunReport streamed = sys.run(stream, spec);
-    expect_identical(memory, streamed);
+  for (const TraceSet* traces : {&narrow, &mixed}) {
+    ASSERT_TRUE(write_trace_stream(path, *traces));
+    for (const MemArch arch :
+         {MemArch::kEm2, MemArch::kEm2Ra, MemArch::kCc}) {
+      RunSpec spec;
+      spec.arch = arch;
+      spec.policy = "history";
+      const RunReport memory = sys.run(*traces, spec);
+      const TraceStream stream(path);
+      const RunReport streamed = sys.run(stream, spec);
+      expect_identical(memory, streamed);
+    }
   }
   std::remove(path.c_str());
 }

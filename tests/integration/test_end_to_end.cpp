@@ -36,9 +36,7 @@ TEST_P(EveryWorkload, DpOptimalLowerBoundsEveryPolicy) {
   for (const auto& thread : ts.threads()) {
     const auto homes = home_sequence(thread, ts, *placement);
     std::vector<MemOp> ops;
-    for (const auto& a : thread.accesses()) {
-      ops.push_back(a.op);
-    }
+    thread.for_each([&](const Access& a) { ops.push_back(a.op); });
     const ModelTrace mt =
         make_model_trace(homes, ops, thread.native_core());
     const Cost opt = solve_optimal_migrate_ra(mt, sys.cost_model())

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace em2 {
 namespace {
 
@@ -17,6 +23,83 @@ TEST(ThreadTrace, AppendAndIndex) {
   EXPECT_EQ(t[0].op, MemOp::kRead);
   EXPECT_EQ(t[0].gap, 2u);
   EXPECT_EQ(t[1].op, MemOp::kWrite);
+}
+
+TEST(ThreadTrace, NarrowLayoutHoldsThe32BitAddressAnd31BitGapEdges) {
+  ThreadTrace t(0, 0);
+  t.append(0xFFFF'FFFFull, MemOp::kWrite, 0x7FFF'FFFFu);
+  t.append(0, MemOp::kRead, 0);
+  EXPECT_FALSE(t.wide());
+  EXPECT_EQ(t[0], (Access{0xFFFF'FFFFull, MemOp::kWrite, 0x7FFF'FFFFu}));
+  EXPECT_EQ(t[1], (Access{0, MemOp::kRead, 0}));
+  EXPECT_EQ(t.max_addr(), 0xFFFF'FFFFull);
+}
+
+/// The first access that does not fit re-lays the thread out wide and
+/// keeps every earlier record; later narrow-sized accesses stay exact.
+TEST(ThreadTrace, AnAccessThatDoesNotFitWidensTheThreadOnce) {
+  const Access high{0x1'0000'0000ull, MemOp::kRead, 5};
+  const Access long_gap{0x40, MemOp::kWrite, 0x8000'0000u};
+  for (const Access& outsized : {high, long_gap}) {
+    ThreadTrace t(0, 0);
+    std::vector<Access> want;
+    for (std::uint32_t i = 0; i < 100; ++i) {
+      want.push_back(Access{0xFFFF'0000ull + 4 * i,
+                            i % 3 ? MemOp::kRead : MemOp::kWrite, i % 4});
+      t.append(want.back());
+    }
+    EXPECT_FALSE(t.wide());
+    want.push_back(outsized);
+    t.append(outsized);
+    EXPECT_TRUE(t.wide());
+    want.push_back(Access{0x80, MemOp::kWrite, 1});
+    t.append(want.back());
+    ASSERT_EQ(t.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(t[i], want[i]) << "access " << i;
+    }
+    EXPECT_EQ(t.max_addr(), std::max<Addr>(outsized.addr, 0xFFFF'018Cull));
+  }
+}
+
+/// TraceSet cursors decode a narrow thread in 64-access batches and walk a
+/// wide one in place; either way they yield exactly the operator[] and
+/// for_each sequence, batch edges included.
+TEST(TraceSet, CursorsYieldTheIndexedSequenceOnBothLayouts) {
+  for (const bool wide : {false, true}) {
+    TraceSet ts(64);
+    const std::vector<std::size_t> lengths = {0, 1, 63, 64, 65, 1000};
+    for (std::size_t t = 0; t < lengths.size(); ++t) {
+      ThreadTrace trace(static_cast<ThreadId>(t), 0);
+      for (std::size_t i = 0; i < lengths[t]; ++i) {
+        // A wide thread gets its 64-bit address half way through.
+        const Addr addr = wide && i == lengths[t] / 2
+                              ? 0xABCD'0000'0000ull + 8 * i
+                              : 0x1000 + 8 * i;
+        trace.append(addr, i % 2 ? MemOp::kWrite : MemOp::kRead,
+                     static_cast<std::uint32_t>(i % 7));
+      }
+      ts.add_thread(std::move(trace));
+    }
+    for (std::size_t t = 0; t < lengths.size(); ++t) {
+      const ThreadTrace& trace = ts.thread(t);
+      ASSERT_EQ(trace.size(), lengths[t]);
+      EXPECT_EQ(trace.wide(), wide && lengths[t] > 0) << "length "
+                                                      << lengths[t];
+      std::vector<Access> visited;
+      trace.for_each([&](const Access& a) { visited.push_back(a); });
+      ASSERT_EQ(visited.size(), lengths[t]);
+      auto cursor = ts.make_cursor(t);
+      for (std::size_t i = 0; i < lengths[t]; ++i) {
+        const Access* got = cursor->next();
+        ASSERT_NE(got, nullptr) << "length " << lengths[t] << " at " << i;
+        EXPECT_EQ(*got, trace[i]) << "length " << lengths[t] << " at " << i;
+        EXPECT_EQ(visited[i], trace[i]);
+      }
+      EXPECT_EQ(cursor->next(), nullptr) << "length " << lengths[t];
+      EXPECT_EQ(cursor->next(), nullptr);
+    }
+  }
 }
 
 TEST(TraceSet, BlockMapping) {

@@ -178,11 +178,11 @@ TEST(TraceStream, CursorDrainsToNullAndStaysNull) {
   ASSERT_TRUE(write_trace_stream(path, original));
   const TraceStream stream(path);
   auto cursor = stream.make_cursor(0);
-  const auto& want = original.thread(0).accesses();
-  for (const Access& expected : want) {
+  const ThreadTrace& want = original.thread(0);
+  for (std::size_t i = 0; i < want.size(); ++i) {
     const Access* got = cursor->next();
     ASSERT_NE(got, nullptr);
-    EXPECT_EQ(*got, expected);
+    EXPECT_EQ(*got, want[i]);
   }
   EXPECT_EQ(cursor->next(), nullptr);
   EXPECT_EQ(cursor->next(), nullptr);  // stays exhausted
