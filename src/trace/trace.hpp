@@ -55,6 +55,21 @@ class MemoryCursor;
 /// The dynamic memory-access sequence of a single thread, narrow or wide
 /// (see the file comment).
 class ThreadTrace {
+ private:
+  /// The narrow record: the address, and the gap shifted over the op.
+  struct Packed {
+    std::uint32_t addr;
+    std::uint32_t gap_op;
+  };
+  static_assert(static_cast<std::uint32_t>(MemOp::kWrite) == 1,
+                "the narrow layout keeps the op in one bit");
+  static constexpr Addr kNarrowMaxAddr = 0xFFFF'FFFFull;
+  static constexpr std::uint32_t kNarrowMaxGap = 0x7FFF'FFFFu;
+
+  static Access unpack(Packed p) noexcept {
+    return Access{p.addr, static_cast<MemOp>(p.gap_op & 1), p.gap_op >> 1};
+  }
+
  public:
   ThreadTrace() = default;
   ThreadTrace(ThreadId thread, CoreId native_core)
@@ -105,6 +120,31 @@ class ThreadTrace {
     }
   }
 
+  /// Reads accesses by index straight from the storage, without going
+  /// through the ThreadTrace: for a loop that holds its place in the
+  /// thread across calls.  Valid until the next append.
+  class Reader {
+   public:
+    Reader() = default;
+    Access operator[](std::size_t i) const noexcept {
+      return narrow_ != nullptr ? unpack(narrow_[i]) : wide_[i];
+    }
+
+   private:
+    friend class ThreadTrace;
+    const Packed* narrow_ = nullptr;
+    const Access* wide_ = nullptr;
+  };
+  Reader reader() const noexcept {
+    Reader r;
+    if (wide_.empty()) {
+      r.narrow_ = narrow_.data();
+    } else {
+      r.wide_ = wide_.data();
+    }
+    return r;
+  }
+
   /// The largest address appended; 0 for an empty thread.
   Addr max_addr() const noexcept { return max_addr_; }
 
@@ -114,20 +154,6 @@ class ThreadTrace {
 
  private:
   friend class detail::MemoryCursor;
-
-  /// The narrow record: the address, and the gap shifted over the op.
-  struct Packed {
-    std::uint32_t addr;
-    std::uint32_t gap_op;
-  };
-  static_assert(static_cast<std::uint32_t>(MemOp::kWrite) == 1,
-                "the narrow layout keeps the op in one bit");
-  static constexpr Addr kNarrowMaxAddr = 0xFFFF'FFFFull;
-  static constexpr std::uint32_t kNarrowMaxGap = 0x7FFF'FFFFu;
-
-  static Access unpack(Packed p) noexcept {
-    return Access{p.addr, static_cast<MemOp>(p.gap_op & 1), p.gap_op >> 1};
-  }
 
   /// Moves every narrow record into wide_ and frees narrow_.  The caller
   /// appends the access that did not fit, so wide_ is non-empty after.

@@ -9,7 +9,7 @@
 namespace em2::workload {
 
 ReplayCursor::ReplayCursor(const ThreadTrace& thread, std::size_t num_threads)
-    : trace_(&thread),
+    : trace_(thread.reader()),
       end_(thread.size()),
       stride_(static_cast<std::int32_t>(std::max<std::size_t>(num_threads, 1))) {
   if (thread.max_addr() > 0xFFFF'FFFFull) {
@@ -35,8 +35,7 @@ ReplayCursor::ReplayCursor(const ThreadTrace& thread, std::size_t num_threads)
     staged_end_ = 3;
   }
   if (end_ != 0) {
-    pending_ = thread[0];
-    nops_ = pending_.gap;
+    nops_ = thread[0].gap;
   }
 }
 

@@ -36,8 +36,8 @@
 namespace em2::workload {
 
 /// Yields the replay program of one thread trace (see the file comment),
-/// one instruction per next() call.  Walks the trace by index; the trace
-/// must outlive the cursor.
+/// one instruction per next() call.  Walks the trace by index through a
+/// ThreadTrace::Reader; the trace must outlive the cursor and not grow.
 class ReplayCursor {
  public:
   /// `num_threads` sets the store-value stride.  Throws
@@ -59,10 +59,9 @@ class ReplayCursor {
     if (at_ == end_) {
       return RInstr{ROp::kHalt, 0, 0, 0, 0};
     }
-    const Access acc = pending_;
+    const Access acc = trace_[at_];
     if (++at_ != end_) {
-      pending_ = (*trace_)[at_];
-      nops_ = pending_.gap;
+      nops_ = trace_[at_].gap;
     }
     const bool high = acc.addr >= kHighBaseValue;
     const std::uint8_t rs = high ? kHighBase : 0;
@@ -85,11 +84,10 @@ class ReplayCursor {
   static constexpr std::uint8_t kHighBase = 3;
   static constexpr Addr kHighBaseValue = 0x8000'0000ull;
 
-  const ThreadTrace* trace_ = nullptr;
-  std::size_t at_ = 0;  // index of pending_, the next access to issue
+  ThreadTrace::Reader trace_;
+  std::size_t at_ = 0;  // the next access to issue
   std::size_t end_ = 0;
-  Access pending_{};
-  std::uint32_t nops_ = 0;  // gap nops still due before pending_
+  std::uint32_t nops_ = 0;  // gap nops still due before access at_
   std::int32_t stride_ = 1;
   // stage_[staged_, staged_end_) is due before the next gap: the
   // prologue, or the value update that follows a store.
