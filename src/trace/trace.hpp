@@ -21,9 +21,9 @@
 // implementations: TraceSet itself (cursors that decode a narrow thread
 // 64 accesses at a time and walk a wide one in place) and the on-disk
 // EM2S reader TraceStream (trace/stream/reader.hpp, bounded-memory
-// batches).  One driver serves both, so streamed and
-// in-memory runs are the same code path and their reports are
-// byte-identical by construction.
+// batches).  One driver serves both, so streamed and in-memory runs are
+// the same code path and their reports are byte-identical by
+// construction.
 #pragma once
 
 #include <bit>
@@ -125,7 +125,6 @@ class ThreadTrace {
   /// thread across calls.  Valid until the next append.
   class Reader {
    public:
-    Reader() = default;
     Access operator[](std::size_t i) const noexcept {
       return narrow_ != nullptr ? unpack(narrow_[i]) : wide_[i];
     }
