@@ -23,9 +23,10 @@ class MemoryCursor final : public AccessCursor {
  protected:
   void refill() override {
     const std::vector<ThreadTrace::Packed>& narrow = trace_.narrow_;
+    const ThreadTrace::Bases bases = trace_.bases_;
     const std::size_t n = std::min(kBatch, narrow.size() - next_);
     for (std::size_t i = 0; i < n; ++i) {
-      batch_[i] = ThreadTrace::unpack(narrow[next_ + i]);
+      batch_[i] = ThreadTrace::unpack(narrow[next_ + i], bases);
     }
     next_ += n;
     cur_ = batch_;
@@ -45,7 +46,7 @@ class MemoryCursor final : public AccessCursor {
 void ThreadTrace::widen() {
   wide_.reserve(std::max(narrow_.capacity(), narrow_.size() + 1));
   for (const Packed p : narrow_) {
-    wide_.push_back(unpack(p));
+    wide_.push_back(unpack(p, bases_));
   }
   std::vector<Packed>().swap(narrow_);
 }
@@ -60,6 +61,7 @@ void TraceSet::add_thread(ThreadTrace trace) {
   EM2_ASSERT(trace.thread() == static_cast<ThreadId>(threads_.size()),
              "thread traces must be added in dense id order");
   threads_.push_back(std::move(trace));
+  threads_.back().shrink_to_fit();
   init_geometry(threads_.size(), block_bytes());
 }
 

@@ -7,12 +7,15 @@
 // since the previous access (used by the execution-driven simulator for
 // timing, and by cost accounting for instructions executed at remote cores).
 //
-// A ThreadTrace stores its accesses in one of two layouts.  Narrow: 8
-// bytes per access, a 32-bit address and a 32-bit `gap << 1 | op`; every
+// A ThreadTrace stores its accesses in one of two layouts.  Narrow: 4
+// bytes per access.  The thread keeps up to four region bases (the address
+// with its low 24 bits cleared), and each record packs the region index,
+// the gap (0-31), the op and the 24-bit offset into the region; every
 // registry workload fits.  Wide: the 16-byte Access itself.  A thread is
-// narrow until it appends an access whose address needs more than 32 bits
-// or whose gap needs 31 or more, and then re-lays itself out wide once.
-// Only this module knows the narrow encoding; callers see Access values.
+// narrow until it appends an access that needs a fifth region or a gap
+// above 31, and then re-lays itself out wide once.  TraceSet::add_thread
+// trims each thread to exact capacity.  Only this module knows the narrow
+// encoding; callers see Access values.
 //
 // The trace-mode engines do not need the full trace: they consume each
 // thread's accesses in program order, one per round-robin turn of the
@@ -26,6 +29,7 @@
 // construction.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -56,18 +60,21 @@ class MemoryCursor;
 /// (see the file comment).
 class ThreadTrace {
  private:
-  /// The narrow record: the address, and the gap shifted over the op.
-  struct Packed {
-    std::uint32_t addr;
-    std::uint32_t gap_op;
-  };
+  /// The narrow record, high bits first: region(2) | gap(5) | op(1) |
+  /// offset(24).  The address is the region's base plus the offset.
+  using Packed = std::uint32_t;
+  static constexpr int kOffsetBits = 24;
+  static constexpr Addr kOffsetMask = (Addr{1} << kOffsetBits) - 1;
+  static constexpr std::uint32_t kRegions = 4;
+  static constexpr std::uint32_t kNarrowMaxGap = 31;
   static_assert(static_cast<std::uint32_t>(MemOp::kWrite) == 1,
                 "the narrow layout keeps the op in one bit");
-  static constexpr Addr kNarrowMaxAddr = 0xFFFF'FFFFull;
-  static constexpr std::uint32_t kNarrowMaxGap = 0x7FFF'FFFFu;
+  using Bases = std::array<Addr, kRegions>;
 
-  static Access unpack(Packed p) noexcept {
-    return Access{p.addr, static_cast<MemOp>(p.gap_op & 1), p.gap_op >> 1};
+  static Access unpack(Packed p, const Bases& bases) noexcept {
+    return Access{bases[p >> 30] + (p & kOffsetMask),
+                  static_cast<MemOp>(p >> kOffsetBits & 1),
+                  p >> (kOffsetBits + 1) & kNarrowMaxGap};
   }
 
  public:
@@ -84,11 +91,14 @@ class ThreadTrace {
   void append(Access a) {
     max_addr_ = a.addr > max_addr_ ? a.addr : max_addr_;
     if (wide_.empty()) {
-      if (a.addr <= kNarrowMaxAddr && a.gap <= kNarrowMaxGap) {
-        narrow_.push_back(Packed{static_cast<std::uint32_t>(a.addr),
-                                 a.gap << 1 |
-                                     static_cast<std::uint32_t>(a.op)});
-        return;
+      if (a.gap <= kNarrowMaxGap) {
+        const std::uint32_t region = region_of(a.addr);
+        if (region < kRegions) {
+          narrow_.push_back(region << 30 | a.gap << (kOffsetBits + 1) |
+                            static_cast<std::uint32_t>(a.op) << kOffsetBits |
+                            static_cast<std::uint32_t>(a.addr & kOffsetMask));
+          return;
+        }
       }
       widen();
     }
@@ -103,7 +113,7 @@ class ThreadTrace {
   }
   bool empty() const noexcept { return size() == 0; }
   Access operator[](std::size_t i) const noexcept {
-    return wide_.empty() ? unpack(narrow_[i]) : wide_[i];
+    return wide_.empty() ? unpack(narrow_[i], bases_) : wide_[i];
   }
 
   /// Calls f(const Access&) for each access in program order.
@@ -111,7 +121,7 @@ class ThreadTrace {
   void for_each(F&& f) const {
     if (wide_.empty()) {
       for (const Packed p : narrow_) {
-        f(unpack(p));
+        f(unpack(p, bases_));
       }
     } else {
       for (const Access& a : wide_) {
@@ -122,22 +132,25 @@ class ThreadTrace {
 
   /// Reads accesses by index straight from the storage, without going
   /// through the ThreadTrace: for a loop that holds its place in the
-  /// thread across calls.  Valid until the next append.
+  /// thread across calls.  Holds the region bases by value, so it stays
+  /// valid when the ThreadTrace itself moves; not after the next append.
   class Reader {
    public:
     Access operator[](std::size_t i) const noexcept {
-      return narrow_ != nullptr ? unpack(narrow_[i]) : wide_[i];
+      return narrow_ != nullptr ? unpack(narrow_[i], bases_) : wide_[i];
     }
 
    private:
     friend class ThreadTrace;
     const Packed* narrow_ = nullptr;
     const Access* wide_ = nullptr;
+    Bases bases_{};
   };
   Reader reader() const noexcept {
     Reader r;
     if (wide_.empty()) {
       r.narrow_ = narrow_.data();
+      r.bases_ = bases_;
     } else {
       r.wide_ = wide_.data();
     }
@@ -147,12 +160,38 @@ class ThreadTrace {
   /// The largest address appended; 0 for an empty thread.
   Addr max_addr() const noexcept { return max_addr_; }
 
-  /// Whether the thread holds 16-byte records (an access outgrew the
-  /// 8-byte layout).
+  /// Whether the thread holds 16-byte records (an access needed a fifth
+  /// region or a gap above 31, so it outgrew the 4-byte layout).
   bool wide() const noexcept { return !wide_.empty(); }
+
+  /// Bytes the record storage holds, spare capacity included.
+  std::size_t storage_bytes() const noexcept {
+    return narrow_.capacity() * sizeof(Packed) +
+           wide_.capacity() * sizeof(Access);
+  }
+
+  /// Releases the spare capacity appends left behind.
+  void shrink_to_fit() {
+    narrow_.shrink_to_fit();
+    wide_.shrink_to_fit();
+  }
 
  private:
   friend class detail::MemoryCursor;
+
+  /// The index of the region holding `addr`, claiming a free one if
+  /// needed; kRegions when all four hold other bases.
+  std::uint32_t region_of(Addr addr) noexcept {
+    const Addr base = addr & ~kOffsetMask;
+    std::uint32_t r = 0;
+    while (r < regions_ && bases_[r] != base) {
+      ++r;
+    }
+    if (r == regions_ && r < kRegions) {
+      bases_[regions_++] = base;
+    }
+    return r;
+  }
 
   /// Moves every narrow record into wide_ and frees narrow_.  The caller
   /// appends the access that did not fit, so wide_ is non-empty after.
@@ -162,9 +201,11 @@ class ThreadTrace {
   CoreId native_core_ = kNoCore;
   Addr max_addr_ = 0;
   // Exactly one layout holds the accesses: wide_ once it is non-empty,
-  // else narrow_.
+  // else narrow_, whose records index bases_[0, regions_).
   std::vector<Packed> narrow_;
   std::vector<Access> wide_;
+  Bases bases_{};
+  std::uint32_t regions_ = 0;
 };
 
 /// Forward iterator over one thread's accesses.  next() is non-virtual

@@ -100,14 +100,14 @@ TraceSet spill(const std::string& path, std::int32_t threads,
   return *std::move(traces);
 }
 
-/// `traces` with thread 5 widened by a final 64-bit access: a set that
-/// mixes the narrow and the wide in-memory layouts.
+/// `traces` with thread 5 widened by a final 64-bit access after a gap of
+/// 32: a set that mixes the narrow and the wide in-memory layouts.
 TraceSet with_one_wide_thread(const TraceSet& traces) {
   TraceSet out(traces.block_bytes());
   for (std::size_t t = 0; t < traces.num_threads(); ++t) {
     ThreadTrace thread = traces.thread(t);
     if (t == 5) {
-      thread.append(0x1'0000'0040ull, MemOp::kWrite, 2);
+      thread.append(0x1'0000'0040ull, MemOp::kWrite, 32);
     }
     out.add_thread(std::move(thread));
   }

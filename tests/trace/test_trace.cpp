@@ -25,26 +25,46 @@ TEST(ThreadTrace, AppendAndIndex) {
   EXPECT_EQ(t[1].op, MemOp::kWrite);
 }
 
-TEST(ThreadTrace, NarrowLayoutHoldsThe32BitAddressAnd31BitGapEdges) {
+/// The 4-byte layout's edges: gap 31, offsets 0 and 0xFF'FFFF, and four
+/// regions, one above 2^32 and one at the top of the address space.
+TEST(ThreadTrace, NarrowLayoutHoldsFourRegionsGap31AndBothOffsetEdges) {
+  const std::vector<Access> want = {
+      {0xFFFF'FFFFull, MemOp::kWrite, 31},
+      {0, MemOp::kRead, 0},
+      {0x1'0000'0000ull, MemOp::kRead, 5},
+      {0xFFFF'FFFF'FFFF'FFFFull, MemOp::kRead, 31},
+      {0xFFFF'FFFF'FF00'0000ull, MemOp::kWrite, 1},
+      {0xFF'FFFFull, MemOp::kWrite, 30},
+      {0x1'00FF'FFFFull, MemOp::kRead, 0},
+      {0xFF00'0000ull, MemOp::kRead, 7},
+  };
   ThreadTrace t(0, 0);
-  t.append(0xFFFF'FFFFull, MemOp::kWrite, 0x7FFF'FFFFu);
-  t.append(0, MemOp::kRead, 0);
+  for (const Access& a : want) {
+    t.append(a);
+  }
   EXPECT_FALSE(t.wide());
-  EXPECT_EQ(t[0], (Access{0xFFFF'FFFFull, MemOp::kWrite, 0x7FFF'FFFFu}));
-  EXPECT_EQ(t[1], (Access{0, MemOp::kRead, 0}));
-  EXPECT_EQ(t.max_addr(), 0xFFFF'FFFFull);
+  ASSERT_EQ(t.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(t[i], want[i]) << "access " << i;
+  }
+  EXPECT_EQ(t.max_addr(), 0xFFFF'FFFF'FFFF'FFFFull);
 }
 
 /// The first access that does not fit re-lays the thread out wide and
 /// keeps every earlier record; later narrow-sized accesses stay exact.
 TEST(ThreadTrace, AnAccessThatDoesNotFitWidensTheThreadOnce) {
-  const Access high{0x1'0000'0000ull, MemOp::kRead, 5};
+  // The earlier records take all four regions.
+  const Addr bases[] = {0xFF00'0000ull, 0, 0x1'0000'0000ull,
+                        0xFFFF'FFFF'FF00'0000ull};
+  const Access gap_32{0x40, MemOp::kRead, 32};
+  const Access fifth_region{0x1'0100'0000ull, MemOp::kRead, 5};
   const Access long_gap{0x40, MemOp::kWrite, 0x8000'0000u};
-  for (const Access& outsized : {high, long_gap}) {
+  const Access gap_edge{0xFFFF'FFFFull, MemOp::kWrite, 0x7FFF'FFFFu};
+  for (const Access& outsized : {gap_32, fifth_region, long_gap, gap_edge}) {
     ThreadTrace t(0, 0);
     std::vector<Access> want;
     for (std::uint32_t i = 0; i < 100; ++i) {
-      want.push_back(Access{0xFFFF'0000ull + 4 * i,
+      want.push_back(Access{bases[i % 4] + 0xFF'0000 + 4 * i,
                             i % 3 ? MemOp::kRead : MemOp::kWrite, i % 4});
       t.append(want.back());
     }
@@ -58,13 +78,14 @@ TEST(ThreadTrace, AnAccessThatDoesNotFitWidensTheThreadOnce) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(t[i], want[i]) << "access " << i;
     }
-    EXPECT_EQ(t.max_addr(), std::max<Addr>(outsized.addr, 0xFFFF'018Cull));
+    EXPECT_EQ(t.max_addr(), 0xFFFF'FFFF'FFFF'018Cull);
   }
 }
 
 /// TraceSet cursors decode a narrow thread in 64-access batches and walk a
 /// wide one in place; either way they yield exactly the operator[] and
-/// for_each sequence, batch edges included.
+/// for_each sequence, batch edges included.  add_thread leaves either
+/// layout at exact capacity.
 TEST(TraceSet, CursorsYieldTheIndexedSequenceOnBothLayouts) {
   for (const bool wide : {false, true}) {
     TraceSet ts(64);
@@ -72,12 +93,13 @@ TEST(TraceSet, CursorsYieldTheIndexedSequenceOnBothLayouts) {
     for (std::size_t t = 0; t < lengths.size(); ++t) {
       ThreadTrace trace(static_cast<ThreadId>(t), 0);
       for (std::size_t i = 0; i < lengths[t]; ++i) {
-        // A wide thread gets its 64-bit address half way through.
-        const Addr addr = wide && i == lengths[t] / 2
-                              ? 0xABCD'0000'0000ull + 8 * i
-                              : 0x1000 + 8 * i;
-        trace.append(addr, i % 2 ? MemOp::kWrite : MemOp::kRead,
-                     static_cast<std::uint32_t>(i % 7));
+        // Every third access lies in the 64-bit region; a wide thread gets
+        // a gap of 32 half way through.
+        const Addr addr =
+            i % 3 == 2 ? 0xABCD'0000'0000ull + 8 * i : 0x1000 + 8 * i;
+        const auto gap = static_cast<std::uint32_t>(
+            wide && i == lengths[t] / 2 ? 32 : i % 7);
+        trace.append(addr, i % 2 ? MemOp::kWrite : MemOp::kRead, gap);
       }
       ts.add_thread(std::move(trace));
     }
@@ -86,6 +108,7 @@ TEST(TraceSet, CursorsYieldTheIndexedSequenceOnBothLayouts) {
       ASSERT_EQ(trace.size(), lengths[t]);
       EXPECT_EQ(trace.wide(), wide && lengths[t] > 0) << "length "
                                                       << lengths[t];
+      EXPECT_EQ(trace.storage_bytes(), (trace.wide() ? 16 : 4) * lengths[t]);
       std::vector<Access> visited;
       trace.for_each([&](const Access& a) { visited.push_back(a); });
       ASSERT_EQ(visited.size(), lengths[t]);

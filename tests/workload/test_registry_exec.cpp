@@ -5,6 +5,7 @@
 // trace-driven run at the same seed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -124,15 +125,23 @@ TEST(RegistryExec, ReplayHandlesGapsAndHighAddresses) {
   }
 }
 
-/// Every registry workload fits the 8-byte in-memory layout at the
-/// 256-thread mesh the end-to-end benchmark runs: no address above 32
-/// bits and no gap of 2^31 or more, so no thread ever widens.
-TEST(RegistryExec, EveryWorkloadStaysNarrowAt256Threads) {
-  for (const std::string& name : workload::workload_names()) {
-    const auto traces = workload::make_by_name(name, 256, 1, 1);
-    ASSERT_TRUE(traces.has_value()) << name;
-    for (const ThreadTrace& thread : traces->threads()) {
-      EXPECT_FALSE(thread.wide()) << name << " thread " << thread.thread();
+/// Every registry workload fits the 4-byte in-memory layout from 16 to
+/// 1024 threads, the end-to-end benchmark's 256 included: no thread spans
+/// more than four 16-MiB regions or has a gap above 31, so none widens,
+/// and add_thread leaves each at exactly 4 bytes per access.
+TEST(RegistryExec, EveryWorkloadStaysNarrowAtExactCapacityFrom16To1024Threads) {
+  for (const std::int32_t threads : {16, 64, 256, 1024}) {
+    for (const std::string& name : workload::workload_names()) {
+      const auto traces = workload::make_by_name(name, threads, 1, 1);
+      ASSERT_TRUE(traces.has_value()) << name;
+      for (const ThreadTrace& thread : traces->threads()) {
+        EXPECT_FALSE(thread.wide())
+            << name << " at " << threads << " threads, thread "
+            << thread.thread();
+        EXPECT_EQ(thread.storage_bytes(), 4 * thread.size())
+            << name << " at " << threads << " threads, thread "
+            << thread.thread();
+      }
     }
   }
 }
