@@ -170,14 +170,15 @@ class ThreadTrace {
            wide_.capacity() * sizeof(Access);
   }
 
+ private:
+  friend class detail::MemoryCursor;
+  friend class TraceSet;
+
   /// Releases the spare capacity appends left behind.
   void shrink_to_fit() {
     narrow_.shrink_to_fit();
     wide_.shrink_to_fit();
   }
-
- private:
-  friend class detail::MemoryCursor;
 
   /// The index of the region holding `addr`, claiming a free one if
   /// needed; kRegions when all four hold other bases.
