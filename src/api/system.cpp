@@ -86,63 +86,6 @@ void System::validate(const RunSpec& spec) const {
     // "custom:<spec>" form that forces the virtual escape hatch.
     StandardPolicy::validate_spec(spec.policy);
   }
-  if (spec.shards != 1 || spec.skew != 0) {
-    if (spec.mode != RunMode::kExec) {
-      throw std::invalid_argument(
-          "RunSpec: sharded execution (shards != 1 or skew > 0) is exec "
-          "mode only");
-    }
-    if (spec.scheduler != SchedulerKind::kEventDriven) {
-      throw std::invalid_argument(
-          "RunSpec: sharded execution requires the event-driven scheduler "
-          "(the scan scheduler is the serial executable specification)");
-    }
-  }
-  if (spec.skew > 0) {
-    // Relaxed synchronization changes the simulated interleaving, so the
-    // whole configuration must be deterministic and partitionable.
-    if (spec.shards == 1) {
-      throw std::invalid_argument(
-          "RunSpec: skew > 0 needs shards > 1 (pin an explicit shard "
-          "count: with shards auto-resolved from the host's thread budget "
-          "the relaxed result would be machine-dependent)");
-    }
-    if (spec.shards == 0) {
-      throw std::invalid_argument(
-          "RunSpec: skew > 0 needs an explicit shard count (shards = 0 "
-          "auto-resolves from the host's thread budget, which would make "
-          "the relaxed result machine-dependent)");
-    }
-    if (spec.arch == MemArch::kCc) {
-      throw std::invalid_argument(
-          "RunSpec: relaxed-sync sharding (skew > 0) has no CC partition");
-    }
-    if (spec.faults.any()) {
-      throw std::invalid_argument(
-          "RunSpec: relaxed-sync sharding (skew > 0) rejects fault "
-          "injection (the injector's accounting is order-dependent)");
-    }
-    if (spec.contention != ContentionMode::kNone) {
-      throw std::invalid_argument(
-          "RunSpec: relaxed-sync sharding (skew > 0) rejects contention "
-          "correction (calibration is defined on the serial interleaving)");
-    }
-    if (config_.em2.model_caches) {
-      throw std::invalid_argument(
-          "RunSpec: relaxed-sync sharding (skew > 0) rejects modelled "
-          "caches (per-core hierarchies cannot serve cross-shard accesses "
-          "at a barrier)");
-    }
-    if (spec.arch == MemArch::kEm2Ra &&
-        !policy_spec_is_shardable(spec.policy)) {
-      throw std::invalid_argument(
-          "RunSpec: relaxed-sync sharding (skew > 0) requires a "
-          "shard-partitionable decision policy (every standard scheme "
-          "qualifies under the fork/merge contract; a custom: wrapper "
-          "only around a stateless scheme — opaque predictor state can "
-          "be neither forked nor merged)");
-    }
-  }
 }
 
 std::shared_ptr<const Placement> System::build_placement(
@@ -556,8 +499,6 @@ RunReport System::run_exec(const TraceSet& traces, const RunSpec& spec,
   params.block_bytes = traces.block_bytes();
   params.faults = faults;
   params.watchdog_cycles = spec.watchdog_cycles;
-  params.shards = spec.shards;
-  params.skew = spec.skew;
   ExecSystem exec(mesh_, cost, params, placement);
   // Each thread replays its trace in place.  A cursor throws
   // std::invalid_argument for an address above 32 bits, before the

@@ -115,28 +115,10 @@ struct RunSpec {
   /// max_cycles.  0 disables; the default is generous enough that only a
   /// genuinely wedged configuration trips it.
   Cycle watchdog_cycles = 1'000'000;
-  /// Exec mode, relaxed sync only: host-parallel execution of this
-  /// single run.  Read only when skew > 0; at skew = 0 every value runs
-  /// the sequential engine (so its report is the sequential one).  Under
-  /// skew > 0 the mesh is partitioned into `shards` contiguous core
-  /// ranges (clamped to the core count), each advanced by (up to) one
-  /// worker thread leased from the shared process budget
-  /// (util/thread_budget.hpp) — a run granted fewer helpers simulates the
-  /// same shard count on fewer threads and reports identically.  Any
-  /// value other than 1 requires mode == kExec and the event-driven
-  /// scheduler (std::invalid_argument at entry).
+  /// Read by nothing: every exec run uses the sequential engine, and
+  /// the report at any value equals the shards = 1 report.  Kept only
+  /// because existing callers still assign it.
   std::uint32_t shards = 1;
-  /// Relaxed-synchronization quantum in cycles.  0 (default): the
-  /// sequential engine.  >0: the sharded relaxed engine, whose shards
-  /// run up to `skew` cycles ahead between barriers — deterministic for
-  /// a fixed (shards, skew) but a different valid interleaving; requires
-  /// an explicit shards > 1 (auto would make the result
-  /// machine-dependent), EM2/EM2-RA, no faults, kNone contention, and a
-  /// shard-partitionable decision policy (policy_spec_is_shardable —
-  /// every standard scheme qualifies under the fork/merge contract;
-  /// "custom:" wrappers only around stateless inner schemes;
-  /// std::invalid_argument at entry otherwise).
-  Cycle skew = 0;
   /// Streamed (TraceStream) sources only: hard budget in bytes for the
   /// reader's resident trace buffers, divided across per-thread cursors —
   /// the knob that makes trace-mode runs out-of-core.  0 = unlimited

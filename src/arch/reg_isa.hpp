@@ -9,7 +9,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -102,18 +101,6 @@ class FunctionalMemory {
     p.word[word_cell(addr)] = value;
   }
   std::size_t words_written() const noexcept { return words_; }
-  /// Visits every written word as f(addr, value), in no particular order
-  /// — the relaxed sharded engine folds owner-shard partitions back into
-  /// the system memory through this after a run.
-  template <typename F>
-  void for_each_word(F&& f) const {
-    pages_.for_each([&](std::uint64_t key, const Page& p) {
-      for (std::uint32_t m = p.written; m != 0; m &= m - 1) {
-        const auto cell = static_cast<std::size_t>(std::countr_zero(m));
-        f(word_addr(key, cell), p.word[cell]);
-      }
-    });
-  }
 
  private:
   struct Page {

@@ -253,54 +253,6 @@ std::vector<Em2Machine::Evacuation> Em2Machine::fail_core(CoreId dead) {
   return evacuated;
 }
 
-Cost Em2Machine::depart_for_migration(ThreadId t, CoreId dest, MemOp op) {
-  const auto ti = static_cast<std::size_t>(t);
-  EM2_ASSERT(t >= 0 && ti < native_.size(), "unknown thread");
-  EM2_ASSERT(dest >= 0 && dest < mesh_.num_cores(),
-             "migration destination outside the mesh");
-  const CoreId from = location_[ti];
-  const CoreId nat = native_[ti];
-  EM2_ASSERT(from != dest, "cross-shard migration to the current core");
-  counters_.inc(Counter::kAccesses);
-  counters_.inc(static_cast<Counter>(
-      static_cast<std::uint8_t>(Counter::kReads) +
-      static_cast<std::uint8_t>(op)));
-  counters_.inc(Counter::kMigrations);
-  if (from != nat) {
-    leave_guest_slot(t, from);
-  }
-  location_[ti] = dest;
-  const bool to_native = dest == nat;
-  const Cost cost = to_native ? cost_.migration_native(from, dest)
-                              : cost_.migration(from, dest);
-  const int vn =
-      to_native ? vnet::kMigrationNative : vnet::kMigrationGuest;
-  vnet_bits_[static_cast<std::size_t>(vn)] += cost_.params().context_bits;
-  if (to_native) {
-    counters_.inc(Counter::kMigrationsToNative);
-  }
-  if (traffic_sink_ != nullptr) {
-    traffic_sink_->on_packet(from, dest, vn, cost_.params().context_bits);
-  }
-  account_thread_cost(t, cost);
-  return cost;
-}
-
-Em2Machine::Adoption Em2Machine::adopt_thread(ThreadId t, CoreId dest) {
-  const auto ti = static_cast<std::size_t>(t);
-  EM2_ASSERT(t >= 0 && ti < native_.size(), "unknown thread");
-  EM2_ASSERT(dest >= 0 && dest < mesh_.num_cores(),
-             "adoption destination outside the mesh");
-  Adoption a;
-  last_evicted_ = kNoThread;
-  if (dest != native_[ti]) {
-    a.eviction_cost = arrive(t, dest);
-    a.evicted = last_evicted_;
-  }
-  location_[ti] = dest;
-  return a;
-}
-
 bool Em2Machine::verify_thread_conservation() const {
   std::size_t away = 0;
   for (std::size_t i = 0; i < native_.size(); ++i) {

@@ -216,38 +216,6 @@ class Em2Machine {
   /// failed core.  O(threads + cores).
   bool verify_thread_conservation() const;
 
-  // Shard-boundary halves of a migration (relaxed-sync parallel engine).
-  // When the mesh is partitioned across per-shard machine instances, a
-  // migration whose destination lies in another shard cannot run through
-  // migrate_thread (this machine's view of the destination slot file is
-  // not authoritative).  Instead the source shard performs the departure
-  // half here, ships the thread across the quantum barrier, and the
-  // destination shard's machine performs the arrival half.
-
-  /// Source half: the full per-access and migration accounting the
-  /// sequential engine would charge at the source — access/read-write
-  /// counters for `op`, the migration counter, guest-slot departure, the
-  /// context's vnet bits and traffic-sink packet, and the thread's
-  /// migration cost (returned).  The thread's location is stamped `dest`
-  /// so this machine's bookkeeping stays consistent, but no arrival
-  /// happens here and no move observer fires — the engine removes the
-  /// thread from its shard structures directly.
-  Cost depart_for_migration(ThreadId t, CoreId dest, MemOp op);
-
-  /// Destination half's result: the guest displaced by the arrival (if
-  /// any) with the eviction cost already charged to it.
-  struct Adoption {
-    ThreadId evicted = kNoThread;
-    Cost eviction_cost = 0;
-  };
-
-  /// Destination half: installs `t` at `dest` (reserved native context,
-  /// or a guest slot that may evict).  Charges nothing for `t` itself —
-  /// the source machine already did — but a displaced victim is fully
-  /// accounted here (eviction counter, native-vnet bits, cost, observer
-  /// notification) exactly as migrate_thread would have.
-  Adoption adopt_thread(ThreadId t, CoreId dest);
-
  protected:
   /// Draws and prices the transient-fault fate of thread `t`'s migration
   /// `from` -> `dest` BEFORE the migration executes.  Adds the cost of

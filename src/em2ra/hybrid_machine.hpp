@@ -63,40 +63,6 @@ class HybridMachine : public Em2Machine {
                                                 CoreId home, MemOp op,
                                                 Addr addr, Addr block);
 
-  /// Requester-side accounting for a CROSS-SHARD remote access (relaxed-
-  /// sync parallel engine): everything the remote leg of access_hybrid
-  /// charges at the requester — the shared access prologue, the remote
-  /// counters, the round-trip latency (returned, charged to the thread),
-  /// and the request/reply wire bits — WITHOUT serving the word (the home
-  /// shard's partition serves it at the quantum barrier).  No fault path:
-  /// relaxed mode rejects fault injection.
-  Cost remote_access_cost(ThreadId t, CoreId home, MemOp op) {
-    counters_.inc(Counter::kAccesses);
-    counters_.inc(static_cast<Counter>(
-        static_cast<std::uint8_t>(Counter::kReads) +
-        static_cast<std::uint8_t>(op)));
-    counters_.inc(Counter::kRemoteAccesses);
-    counters_.inc(static_cast<Counter>(
-        static_cast<std::uint8_t>(Counter::kRemoteReads) +
-        static_cast<std::uint8_t>(op)));
-    const CoreId at = location(t);
-    const Cost rt = cost_model().remote_access(at, home, op);
-    account_thread_cost(t, rt);
-    const std::uint64_t req_bits =
-        req_bits_by_op_[static_cast<std::uint8_t>(op)];
-    const std::uint64_t rep_bits =
-        rep_bits_by_op_[static_cast<std::uint8_t>(op)];
-    remote_request_bits_ += req_bits;
-    remote_reply_bits_ += rep_bits;
-    add_vnet_bits(vnet::kRemoteRequest, req_bits);
-    add_vnet_bits(vnet::kRemoteReply, rep_bits);
-    if (traffic_sink_ != nullptr) {
-      traffic_sink_->on_packet(at, home, vnet::kRemoteRequest, req_bits);
-      traffic_sink_->on_packet(home, at, vnet::kRemoteReply, rep_bits);
-    }
-    return rt;
-  }
-
   /// Remote-access traffic in bits, split by direction.
   std::uint64_t remote_request_bits() const noexcept {
     return remote_request_bits_;

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <string_view>
-#include <type_traits>
 
 #include "util/assert.hpp"
 #include "util/error.hpp"
@@ -121,27 +120,6 @@ std::string HistoryPolicy::name() const {
   return n;
 }
 
-void HistoryPolicy::export_thread_state(ThreadId t, PolicyThreadState& out) {
-  ThreadState& st = state_for(t);
-  out.run_home = st.run_home;
-  out.run_len = st.run_len;
-  out.native_ctr = st.native_ctr;
-  out.by_core = std::move(st.by_core);
-  out.keys = std::move(st.keys);
-  out.ctrs = std::move(st.ctrs);
-  st = ThreadState{};
-}
-
-void HistoryPolicy::import_thread_state(ThreadId t, PolicyThreadState&& in) {
-  ThreadState& st = state_for(t);
-  st.run_home = in.run_home;
-  st.run_len = in.run_len;
-  st.native_ctr = in.native_ctr;
-  st.by_core = std::move(in.by_core);
-  st.keys = std::move(in.keys);
-  st.ctrs = std::move(in.ctrs);
-}
-
 CostEstimatePolicy::CostEstimatePolicy(const CostModel& cost,
                                        double ewma_alpha)
     : cost_(cost), ewma_alpha_(ewma_alpha) {
@@ -165,38 +143,10 @@ void CostEstimatePolicy::observe(ThreadId thread, CoreId home,
     } else {
       predicted_run_ = (1.0 - ewma_alpha_) * predicted_run_ +
                        ewma_alpha_ * static_cast<double>(st.run_len);
-      if (log_samples_) {
-        samples_.push_back(static_cast<double>(st.run_len));
-      }
     }
   }
   st.run_home = home;
   st.run_len = 1;
-}
-
-void CostEstimatePolicy::export_thread_state(ThreadId t,
-                                             PolicyThreadState& out) {
-  ThreadState& st = state_for(t);
-  out.run_home = st.run_home;
-  out.run_len = st.run_len;
-  out.native_run_ewma = st.native_run_ewma;
-  st = ThreadState{};
-}
-
-void CostEstimatePolicy::import_thread_state(ThreadId t,
-                                             PolicyThreadState&& in) {
-  ThreadState& st = state_for(t);
-  st.run_home = in.run_home;
-  st.run_len = in.run_len;
-  st.native_run_ewma = in.native_run_ewma;
-}
-
-double CostEstimatePolicy::fold_samples_into(double base) {
-  for (const double sample : samples_) {
-    base = (1.0 - ewma_alpha_) * base + ewma_alpha_ * sample;
-  }
-  samples_.clear();
-  return base;
 }
 
 RaDecision CostEstimatePolicy::decide(const DecisionQuery& q) {
@@ -268,16 +218,6 @@ ParsedSpec parse_spec(const std::string& spec) {
     p.ok = true;
   }
   return p;
-}
-
-/// True iff `spec` names a standard scheme with no mutable predictor
-/// state (always-migrate, always-remote, distance:<hops>).  False for
-/// unknown specs.
-bool policy_spec_is_stateless(const std::string& spec) {
-  const ParsedSpec p = parse_spec(spec);
-  return p.ok && (p.kind == StandardPolicyKind::kAlwaysMigrate ||
-                  p.kind == StandardPolicyKind::kAlwaysRemote ||
-                  p.kind == StandardPolicyKind::kDistance);
 }
 
 [[noreturn]] void fail_unknown_policy(const std::string& spec) {
@@ -387,95 +327,9 @@ std::string StandardPolicy::name() const {
   }
 }
 
-StandardPolicy StandardPolicy::fork_shard(std::uint32_t shard,
-                                          std::uint32_t count) const {
-  switch (impl_.index()) {
-    case 0:
-      return StandardPolicy(Impl(std::in_place_type<AlwaysMigratePolicy>));
-    case 1:
-      return StandardPolicy(Impl(std::in_place_type<AlwaysRemotePolicy>));
-    case 2:
-      // The per-pair bit table is immutable after construction: a plain
-      // copy shares no mutable state with the base or other shards.
-      return StandardPolicy(Impl(std::get<2>(impl_)));
-    case 3:
-      return StandardPolicy(Impl(std::get<3>(impl_).fork_shard_twin()));
-    case 4:
-      return StandardPolicy(Impl(std::get<4>(impl_).fork_shard_twin()));
-    default: {
-      std::unique_ptr<DecisionPolicy> forked =
-          std::get<5>(impl_)->fork_shard(shard, count);
-      EM2_ASSERT(forked != nullptr,
-                 "custom policy is not shardable (fork_shard returned "
-                 "nullptr); policy_spec_is_shardable rejects such specs");
-      return StandardPolicy(Impl(std::move(forked)));
-    }
-  }
-}
-
-void StandardPolicy::export_thread_state(ThreadId t, PolicyThreadState& out) {
-  visit([&](auto& p) {
-    using P = std::decay_t<decltype(p)>;
-    if constexpr (std::is_same_v<P, HistoryPolicy> ||
-                  std::is_same_v<P, CostEstimatePolicy>) {
-      p.export_thread_state(t, out);
-    } else {
-      (void)p;
-      out = PolicyThreadState{};
-    }
-  });
-}
-
-void StandardPolicy::import_thread_state(ThreadId t, PolicyThreadState&& in) {
-  visit([&](auto& p) {
-    using P = std::decay_t<decltype(p)>;
-    if constexpr (std::is_same_v<P, HistoryPolicy> ||
-                  std::is_same_v<P, CostEstimatePolicy>) {
-      p.import_thread_state(t, std::move(in));
-    } else {
-      (void)p;
-      (void)in;
-    }
-  });
-}
-
-void StandardPolicy::merge_shard_predictors(
-    std::span<StandardPolicy* const> shards) {
-  if (kind() != StandardPolicyKind::kCostEstimate) {
-    // History state travels with its thread; stateless kinds share
-    // nothing — only the cost-estimate EWMA is cross-thread.
-    return;
-  }
-  CostEstimatePolicy& base = std::get<4>(impl_);
-  double merged = base.predicted_run();
-  for (StandardPolicy* shard : shards) {
-    EM2_ASSERT(shard != nullptr &&
-                   shard->kind() == StandardPolicyKind::kCostEstimate,
-               "shard forks must match the base policy kind");
-    merged = std::get<4>(shard->impl_).fold_samples_into(merged);
-  }
-  base.set_predicted_run(merged);
-  for (StandardPolicy* shard : shards) {
-    std::get<4>(shard->impl_).set_predicted_run(merged);
-  }
-}
-
 std::vector<std::string> standard_policy_specs() {
   return {"always-migrate", "always-remote", "distance:4",
           "history",        "cost-estimate"};
-}
-
-bool policy_spec_is_shardable(const std::string& spec) {
-  constexpr std::string_view kCustomPrefix = "custom:";
-  if (spec.rfind(kCustomPrefix, 0) == 0) {
-    // The kCustom wrapper forks through the virtual DecisionPolicy hook,
-    // which only the stateless schemes implement: a stateful scheme's
-    // predictor state is opaque behind the escape hatch, so the engine
-    // could neither move per-thread entries with a migrating thread nor
-    // merge shared estimators at barriers.
-    return policy_spec_is_stateless(spec.substr(kCustomPrefix.size()));
-  }
-  return parse_spec(spec).ok;
 }
 
 }  // namespace em2

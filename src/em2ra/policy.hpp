@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -40,22 +39,6 @@ namespace em2 {
 enum class RaDecision : std::uint8_t {
   kMigrate = 0,
   kRemoteAccess = 1,
-};
-
-/// Per-thread predictor state in transit between shard-forked policy
-/// instances (the relaxed-sync parallel engine): when a thread crosses a
-/// shard boundary its predictor state rides along, exactly as the
-/// hardware table contents would travel with the migration context.  One
-/// struct covers the union of the sealed schemes' per-thread fields;
-/// each scheme reads and writes only the fields it owns.
-struct PolicyThreadState {
-  CoreId run_home = kNoCore;
-  std::uint64_t run_len = 0;
-  std::uint8_t native_ctr = 2;        // HistoryPolicy native register
-  double native_run_ewma = 8.0;       // CostEstimatePolicy local phases
-  std::vector<std::uint8_t> by_core;  // HistoryPolicy direct-mapped table
-  std::vector<CoreId> keys;           // HistoryPolicy counter file keys
-  std::vector<std::uint8_t> ctrs;     // HistoryPolicy counter file values
 };
 
 /// Decision-relevant facts about one non-local access.
@@ -86,16 +69,6 @@ class DecisionPolicy {
     (void)native;
   }
   virtual std::string name() const = 0;
-  /// Relaxed-sync fork hook: return a fresh instance for shard `shard` of
-  /// `count`, or nullptr when the policy cannot be shard-partitioned (the
-  /// default — an opaque policy's predictor state cannot be forked or
-  /// merged).  Stateless policies return a plain copy.
-  virtual std::unique_ptr<DecisionPolicy> fork_shard(std::uint32_t shard,
-                                                     std::uint32_t count) const {
-    (void)shard;
-    (void)count;
-    return nullptr;
-  }
 };
 
 /// Pure EM2: always migrate (the paper's baseline architecture).
@@ -105,10 +78,6 @@ class AlwaysMigratePolicy final : public DecisionPolicy {
     return RaDecision::kMigrate;
   }
   std::string name() const override { return "always-migrate"; }
-  std::unique_ptr<DecisionPolicy> fork_shard(std::uint32_t,
-                                             std::uint32_t) const override {
-    return std::make_unique<AlwaysMigratePolicy>();
-  }
 };
 
 /// Pure remote-access coherence (the Fensch-Cintra-style comparison point
@@ -119,10 +88,6 @@ class AlwaysRemotePolicy final : public DecisionPolicy {
     return RaDecision::kRemoteAccess;
   }
   std::string name() const override { return "always-remote"; }
-  std::unique_ptr<DecisionPolicy> fork_shard(std::uint32_t,
-                                             std::uint32_t) const override {
-    return std::make_unique<AlwaysRemotePolicy>();
-  }
 };
 
 /// Distance threshold: remote-access nearby homes (a short round trip is
@@ -146,10 +111,6 @@ class DistanceThresholdPolicy final : public DecisionPolicy {
                                    1);
   }
   std::string name() const override;
-  std::unique_ptr<DecisionPolicy> fork_shard(std::uint32_t,
-                                             std::uint32_t) const override {
-    return std::make_unique<DistanceThresholdPolicy>(*this);
-  }
 
  private:
   std::size_t num_cores_;
@@ -191,18 +152,6 @@ class HistoryPolicy final : public DecisionPolicy {
   }
   void observe(ThreadId thread, CoreId home, CoreId native) override;
   std::string name() const override;
-
-  /// Relaxed-sync shard support.  A forked twin shares the configuration
-  /// but starts with an empty table: per-thread predictor state TRAVELS
-  /// with each thread via export/import (a thread trains exactly one
-  /// shard's table at a time, so there is nothing to merge at barriers).
-  HistoryPolicy fork_shard_twin() const {
-    return HistoryPolicy(long_run_, capacity_);
-  }
-  /// Moves thread `t`'s predictor state out, resetting the local slot.
-  void export_thread_state(ThreadId t, PolicyThreadState& out);
-  /// Installs predictor state for thread `t` (from export_thread_state).
-  void import_thread_state(ThreadId t, PolicyThreadState&& in);
 
  private:
   /// Flat per-thread predictor state (indexed by ThreadId, grown on
@@ -264,36 +213,11 @@ class CostEstimatePolicy final : public DecisionPolicy {
   void observe(ThreadId thread, CoreId home, CoreId native) override;
   std::string name() const override { return "cost-estimate"; }
 
-  /// Relaxed-sync shard support.  Per-thread state (run tracking, the
-  /// native-phase EWMA) travels with the thread via export/import; the
-  /// cross-thread `predicted_run_` EWMA is the shared half of the
-  /// contract: a forked twin starts from the current shared value and
-  /// LOGS every sample it folds locally, and at each quantum barrier the
-  /// engine replays all shards' logs into the global base in shard index
-  /// order (fold_samples_into) and rebroadcasts (set_predicted_run) —
-  /// deterministic regardless of worker threading.
-  CostEstimatePolicy fork_shard_twin() const {
-    CostEstimatePolicy twin(cost_, ewma_alpha_);
-    twin.predicted_run_ = predicted_run_;
-    twin.log_samples_ = true;
-    return twin;
-  }
-  void export_thread_state(ThreadId t, PolicyThreadState& out);
-  void import_thread_state(ThreadId t, PolicyThreadState&& in);
-  /// Replays this instance's sample log into `base` with the policy's own
-  /// EWMA weight, clearing the log; returns the updated base.
-  double fold_samples_into(double base);
-  double predicted_run() const { return predicted_run_; }
-  void set_predicted_run(double v) { predicted_run_ = v; }
-
  private:
   CostModel cost_;  // by value: the model is two ints + a param block
   double ewma_alpha_;
   /// EWMA of remote (non-native) run lengths, shared across threads.
   double predicted_run_ = 1.0;
-  /// Shard-fork sample log (see fork_shard_twin).
-  bool log_samples_ = false;
-  std::vector<double> samples_;
   struct ThreadState {
     CoreId run_home = kNoCore;
     std::uint64_t run_len = 0;
@@ -405,32 +329,6 @@ class StandardPolicy {
     visit([&](auto& p) { p.observe(thread, home, native); });
   }
 
-  /// Forks a per-shard instance under the relaxed-sync merge contract:
-  /// stateless kinds copy themselves; history forks an empty-state twin
-  /// (per-thread predictor state then travels with each thread via
-  /// export/import_thread_state); cost-estimate forks a twin seeded with
-  /// the current shared EWMA and sample logging enabled (folded back at
-  /// quantum barriers by merge_shard_predictors); kCustom forks through
-  /// DecisionPolicy::fork_shard — a custom policy that returns nullptr is
-  /// not shardable (EM2_ASSERT; System::validate rejects such specs up
-  /// front via policy_spec_is_shardable).
-  StandardPolicy fork_shard(std::uint32_t shard, std::uint32_t count) const;
-
-  /// Moves thread `t`'s per-thread predictor state out of / into this
-  /// instance (no-ops for kinds with none).  The relaxed engine calls the
-  /// pair when a migration or eviction delivers a thread across a shard
-  /// boundary, before the destination shard resumes it.
-  void export_thread_state(ThreadId t, PolicyThreadState& out);
-  void import_thread_state(ThreadId t, PolicyThreadState&& in);
-
-  /// Barrier-merge for shared predictor state (today: cost-estimate's
-  /// cross-thread run-length EWMA).  Called on the unsharded base policy
-  /// with every per-shard fork, in shard index order, single-threaded at
-  /// the quantum barrier: replays each shard's sample log into the global
-  /// EWMA and rebroadcasts the merged value to all shards.  A no-op for
-  /// every other kind.
-  void merge_shard_predictors(std::span<StandardPolicy* const> shards);
-
  private:
   using Impl = std::variant<AlwaysMigratePolicy, AlwaysRemotePolicy,
                             DistanceThresholdPolicy, HistoryPolicy,
@@ -450,15 +348,5 @@ std::unique_ptr<DecisionPolicy> make_policy(const std::string& spec,
 
 /// The policy names make_policy understands, for CLI help and sweeps.
 std::vector<std::string> standard_policy_specs();
-
-/// True iff `spec` names a policy the relaxed-sync engine can
-/// shard-partition under the fork/merge contract: every sealed standard
-/// scheme qualifies (stateless kinds replicate; history's per-thread
-/// tables travel with the thread; cost-estimate's shared EWMA merges
-/// deterministically at quantum barriers), while a "custom:" wrapper
-/// qualifies only around a stateless inner scheme — an opaque policy's
-/// state cannot be forked or merged.  False for unknown specs
-/// (validation reports those separately).
-bool policy_spec_is_shardable(const std::string& spec);
 
 }  // namespace em2

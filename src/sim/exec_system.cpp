@@ -40,7 +40,6 @@ ThreadId ExecSystem::push_thread(Thread th, CoreId native) {
 
 void ExecSystem::poke(Addr addr, std::uint32_t value) {
   memory_.store(addr, value);
-  poke_log_.emplace_back(addr, value);
   const CoreId home = home_of(addr);
   checker_.on_store(kNoThread, addr, value, home, home);
 }
@@ -215,20 +214,19 @@ void ExecSystem::fire_watchdog(const char* reason) {
   report_.diagnosis = d;
 }
 
-void ExecSystem::mark_ready(EventQueues& q, ThreadId t) {
+void ExecSystem::mark_ready(ThreadId t) {
   is_ready_[static_cast<std::size_t>(t)] = 1;
-  ++q.num_ready;
-  q.gain(core_of_[static_cast<std::size_t>(t)]);
+  ++q_.num_ready;
+  q_.gain(core_of_[static_cast<std::size_t>(t)]);
 }
 
-void ExecSystem::mark_unready(EventQueues& q, ThreadId t) {
+void ExecSystem::mark_unready(ThreadId t) {
   is_ready_[static_cast<std::size_t>(t)] = 0;
-  --q.num_ready;
-  q.lose(core_of_[static_cast<std::size_t>(t)]);
+  --q_.num_ready;
+  q_.lose(core_of_[static_cast<std::size_t>(t)]);
 }
 
-void ExecSystem::set_ready_at(EventQueues& q, ThreadId t, Cycle when,
-                              Cycle now) {
+void ExecSystem::set_ready_at(ThreadId t, Cycle when) {
   Thread& th = threads_[static_cast<std::size_t>(t)];
   th.ready_at = when;
   // A halted victim still gets its ready_at stamped (scan-scheduler
@@ -236,13 +234,13 @@ void ExecSystem::set_ready_at(EventQueues& q, ThreadId t, Cycle when,
   if (!event_mode_ || th.halted) {
     return;
   }
-  if (when > now) {
+  if (when > now_) {
     if (is_ready_[static_cast<std::size_t>(t)]) {
-      mark_unready(q, t);
+      mark_unready(t);
     }
-    q.wakeups.push(Wakeup{when, t});
+    q_.wakeups.push(Wakeup{when, t});
   } else if (!is_ready_[static_cast<std::size_t>(t)]) {
-    mark_ready(q, t);
+    mark_ready(t);
   }
 }
 
@@ -280,7 +278,7 @@ void ExecSystem::step_thread(ThreadId chosen) {
       ++halted_count_;
       report_.finish_cycle[static_cast<std::size_t>(chosen)] = now_;
       if (event_mode_) {
-        mark_unready(q_, chosen);  // a stepped thread is always ready
+        mark_unready(chosen);  // a stepped thread is always ready
         q_.remove_resident(core_of_[static_cast<std::size_t>(chosen)],
                            chosen);
       }
@@ -295,14 +293,13 @@ void ExecSystem::step_thread(ThreadId chosen) {
   }
 }
 
-ThreadId ExecSystem::select_ready_resident(const EventQueues& q,
-                                           CoreId core) const {
+ThreadId ExecSystem::select_ready_resident(CoreId core) const {
   // Round-robin over *global thread ids* starting at rr_[core], restricted
   // to this core's residents — exactly the order the scan scheduler's
   // probe loop visits, so both schedulers pick the same thread.  rr_ is
   // at most the thread count, and a cursor equal to it wraps to the
   // front exactly as the scan's modulo would.
-  const auto& res = q.residents[static_cast<std::size_t>(core)];
+  const auto& res = q_.residents[static_cast<std::size_t>(core)];
   const auto start =
       static_cast<ThreadId>(rr_[static_cast<std::size_t>(core)]);
   const auto pivot = std::lower_bound(res.begin(), res.end(), start);
@@ -329,7 +326,7 @@ void ExecSystem::init_event_structures() {
     const CoreId c = threads_[t].ctx.native_core;
     core_of_[t] = c;
     q_.add_resident(c, static_cast<ThreadId>(t));
-    mark_ready(q_, static_cast<ThreadId>(t));  // every thread starts ready
+    mark_ready(static_cast<ThreadId>(t));  // every thread starts ready
   }
 }
 
@@ -380,7 +377,7 @@ bool ExecSystem::begin_event_cycle(Cycle max_cycles) {
     const Wakeup w = q_.wakeups.top();
     q_.wakeups.pop();
     if (wakeup_live(w)) {
-      mark_ready(q_, w.thread);
+      mark_ready(w.thread);
     }
   }
   return true;
@@ -400,7 +397,7 @@ void ExecSystem::issue_cycle() {
       // the scan scheduler, which probes and then discards.
       continue;
     }
-    const ThreadId chosen = select_ready_resident(q_, core);
+    const ThreadId chosen = select_ready_resident(core);
     EM2_ASSERT(chosen != kNoThread,
                "ready-core set out of sync with resident queues");
     rr_[static_cast<std::size_t>(core)] =
@@ -466,26 +463,6 @@ ExecReport ExecSystem::run(Cycle max_cycles) {
   faults_ = params_.faults;
   EM2_ASSERT(faults_ == nullptr || params_.arch != MemArch::kCc,
              "fault injection is EM2/EM2-RA only (no CC fault model)");
-  if (params_.skew > 0) {
-    // The same entry rules System::validate applies to RunSpec: the shard
-    // count is part of the relaxed configuration, so it must be explicit.
-    EM2_ASSERT(params_.shards > 1,
-               "relaxed-sync sharding (skew > 0) needs an explicit shard "
-               "count > 1");
-    EM2_ASSERT(event_mode_,
-               "relaxed-sync sharding (skew > 0) requires the event-driven "
-               "scheduler");
-    EM2_ASSERT(params_.arch != MemArch::kCc,
-               "relaxed-sync sharding (skew > 0) has no CC partition");
-    EM2_ASSERT(faults_ == nullptr,
-               "relaxed-sync sharding (skew > 0) rejects fault injection "
-               "(the injector's accounting is order-dependent)");
-    EM2_ASSERT(!params_.em2.model_caches,
-               "relaxed-sync sharding (skew > 0) rejects modelled caches");
-    return run_relaxed(
-        max_cycles, std::min(params_.shards,
-                             static_cast<std::uint32_t>(mesh_.num_cores())));
-  }
   init_machines();
 
   report_ = ExecReport{};

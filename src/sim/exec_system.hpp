@@ -30,6 +30,11 @@
 //       specification the event-driven scheduler is diffed against.
 //
 // All loads/stores are checked against the sequential-consistency witness.
+//
+// A run is single-threaded on the host: every core steps in one global
+// order, which is the machine the paper describes and the witness checks.
+// More host cores speed up many runs at once (System::run_matrix over
+// sweep::run), not one run.
 #pragma once
 
 #include <algorithm>
@@ -113,28 +118,10 @@ struct ExecParams {
   /// the run terminates with a structured diagnosis instead of spinning
   /// (or, in event mode, jumping) toward max_cycles.  0 disables.
   Cycle watchdog_cycles = 0;
-  /// Relaxed-sync shard count, read only when skew > 0: the mesh is
-  /// partitioned into this many contiguous shards (clamped to the core
-  /// count), each advanced by (up to) one host thread.  Must then be an
-  /// explicit value > 1.  Worker threads are leased from the process
-  /// thread budget — a run that gets fewer (or zero) helpers still
-  /// simulates the configured shard count and produces the identical
-  /// report.  At skew = 0 every value runs the sequential engine.
+  /// Read by nothing: every run uses the sequential engine.  Kept only
+  /// because existing callers still assign it; at any value the report
+  /// equals the shards = 1 report.
   std::uint32_t shards = 1;
-  /// Relaxed-synchronization quantum in cycles.  0 (the default) runs
-  /// the sequential engine.  >0 runs the sharded relaxed engine: each
-  /// shard runs ahead up to `skew` cycles between barriers, with
-  /// cross-shard migrations, evictions, and remote accesses delivered at
-  /// the next barrier — deterministic for a fixed (shards, skew), but a
-  /// different (still protocol-valid) interleaving than the sequential
-  /// engine.  Requires shards > 1, kEventDriven, EM2/EM2-RA (no CC), no
-  /// fault injection, no modelled caches, and a shard-partitionable
-  /// decision policy (every standard scheme qualifies: stateless kinds
-  /// are copied per shard; history state rides with its thread across
-  /// shard crossings; cost-estimate shards log run-length samples
-  /// locally and fold them into one EWMA at each barrier, in
-  /// shard-index order).
-  Cycle skew = 0;
 };
 
 /// End-of-run report.
@@ -206,7 +193,7 @@ class ExecSystem final : private ThreadMoveObserver {
     bool halted = false;
 
     /// Retires the next instruction: the one fetch point through which
-    /// both sequential schedulers and the relaxed engine step a thread.
+    /// both schedulers step a thread.
     StepResult step() {
       if (auto* replay = std::get_if<workload::ReplayCursor>(&code)) {
         return RegInterpreter::execute(replay->next(), ctx);
@@ -231,9 +218,7 @@ class ExecSystem final : private ThreadMoveObserver {
   };
 
   /// Event-scheduler queues: per-core residency and ready counts, the
-  /// ready-core bitset and the wakeup heap.  The sequential engine keeps
-  /// one over the whole mesh; each relaxed shard keeps its own, in which
-  /// only the shard's cores ever hold residents.  Residency mirrors the
+  /// ready-core bitset and the wakeup heap.  Residency mirrors the
   /// machines' thread locations (updated by on_thread_moved, never
   /// rediscovered by scans).
   struct EventQueues {
@@ -288,20 +273,17 @@ class ExecSystem final : private ThreadMoveObserver {
   void init_machines();
   /// Issues one instruction from `chosen` (shared by both schedulers).
   void step_thread(ThreadId chosen);
-  /// Sets `t`'s ready time to `when` (>= now) and, in event mode, moves
-  /// it between `q`'s ready set and wakeup heap accordingly.
-  void set_ready_at(EventQueues& q, ThreadId t, Cycle when, Cycle now);
-  void set_ready_at(ThreadId t, Cycle when) {
-    set_ready_at(q_, t, when, now_);
-  }
-  void mark_ready(EventQueues& q, ThreadId t);
-  void mark_unready(EventQueues& q, ThreadId t);
+  /// Sets `t`'s ready time to `when` (>= now_) and, in event mode, moves
+  /// it between the ready set and the wakeup heap accordingly.
+  void set_ready_at(ThreadId t, Cycle when);
+  void mark_ready(ThreadId t);
+  void mark_unready(ThreadId t);
   /// True iff wakeup `w` is current: its thread is live, not already
   /// ready, and still stalled until exactly `w.at` (ready_at only grows,
   /// so a superseded entry never matches).
   bool wakeup_live(const Wakeup& w) const;
   /// First ready resident of `core` in round-robin order from rr_[core].
-  ThreadId select_ready_resident(const EventQueues& q, CoreId core) const;
+  ThreadId select_ready_resident(CoreId core) const;
 
   /// Fails every core whose scheduled failure time is <= now_ and
   /// re-stalls the evacuated threads (fault injection only).
@@ -330,12 +312,6 @@ class ExecSystem final : private ThreadMoveObserver {
   /// Builds the event-scheduler residency/ready structures.
   void init_event_structures();
 
-  // Relaxed-sync sharding (sim/exec_parallel.cpp, skew > 0): each shard
-  // gets its own machine/memory/checker partition and cross-shard traffic
-  // is exchanged at quantum barriers.
-  ExecReport run_relaxed(Cycle max_cycles, std::uint32_t nshards);
-  friend struct RelaxedEngine;
-
   Mesh mesh_;
   CostModel cost_;
   ExecParams params_;
@@ -353,9 +329,6 @@ class ExecSystem final : private ThreadMoveObserver {
   std::vector<Thread> threads_;
   std::vector<std::uint32_t> rr_;  // per-core round-robin cursor
   FunctionalMemory memory_;
-  /// Replay log of poke() calls: relaxed mode seeds each shard's memory
-  /// partition and consistency checker from it.
-  std::vector<std::pair<Addr, std::uint32_t>> poke_log_;
   ConsistencyChecker checker_;
   ExecReport report_;
   Cycle now_ = 0;

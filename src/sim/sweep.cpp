@@ -16,8 +16,8 @@ unsigned resolve_threads(const Options& opts) noexcept {
   }
   // Default width comes from the shared process budget (EM2_THREAD_BUDGET
   // or hardware_concurrency) rather than hardware_concurrency directly,
-  // so the sweep runner and the sharded single-run engine draw from one
-  // pool instead of each claiming the whole machine.
+  // so concurrent sweeps draw from one pool instead of each claiming the
+  // whole machine.
   return static_cast<unsigned>(thread_budget_total());
 }
 
@@ -133,10 +133,10 @@ void run_indexed(std::size_t n, const std::function<void(std::size_t)>& body,
     }
   };
   // Helper threads are leased from the shared process budget: a sweep
-  // running inside an already-parallel context (or alongside sharded
-  // runs) gets however many helpers are still unclaimed and degrades to
-  // the serial loop when the budget is spent — never workers x shards
-  // oversubscription.  The lease is released when the sweep returns.
+  // running inside an already-parallel context gets however many helpers
+  // are still unclaimed and degrades to the serial loop when the budget
+  // is spent — never nested oversubscription.  The lease is released
+  // when the sweep returns.
   const std::size_t want = std::min<std::size_t>(workers, std::max<std::size_t>(n, 1));
   const ThreadBudgetLease lease(want > 0 ? want - 1 : 0);
   const unsigned spawned = static_cast<unsigned>(1 + lease.granted());

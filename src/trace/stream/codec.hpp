@@ -24,8 +24,9 @@
 // a run or match that would overrun raw_bytes, a distance of zero or
 // beyond the produced output, a varint that overruns or overflows, and
 // trailing bytes after the final token are all named defects.  The
-// stream reader additionally enforces the exact-raw_bytes contract and
-// the stored-payload CRC before the codec ever sees the bytes.
+// stream reader additionally enforces the exact-raw_bytes contract, the
+// expansion bound (max_raw_bytes) and the stored-payload CRC before the
+// codec ever sees the bytes.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +39,14 @@ class Em2zCodec {
  public:
   /// Codec id stored in the chunk header of every em2z chunk.
   static constexpr std::uint8_t kId = 1;
+  /// The most raw bytes `stored_bytes` of token stream can decode to.
+  /// A token that produces more than it stores is a match: a control
+  /// byte plus a distance varint of at least one byte, producing at most
+  /// 131 bytes.  So every 2 stored bytes yield at most 131 raw ones.
+  static constexpr std::uint64_t max_raw_bytes(
+      std::uint64_t stored_bytes) noexcept {
+    return 131 * (stored_bytes / 2);
+  }
   std::vector<std::uint8_t> compress(
       std::span<const std::uint8_t> raw) const;
   /// Produces exactly `raw_bytes` bytes or throws TraceFormatError.

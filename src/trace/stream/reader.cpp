@@ -546,6 +546,13 @@ TraceStream::TraceStream(const std::string& path, const Options& opts)
         fail("unknown chunk codec id " + std::to_string(c.codec) +
              " (EM2S knows 0 = verbatim and 1 = em2z)" + where);
       }
+      if (c.codec == em2s::Em2zCodec::kId &&
+          c.raw_bytes > em2s::Em2zCodec::max_raw_bytes(c.payload_bytes)) {
+        fail("em2z chunk declares " + std::to_string(c.raw_bytes) +
+             " raw bytes, more than its " +
+             std::to_string(c.payload_bytes) +
+             "-byte payload can decode to" + where);
+      }
       records_sum += c.records;
       tm.chunks.push_back(c);
     }

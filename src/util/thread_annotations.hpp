@@ -1,9 +1,8 @@
 // Clang thread-safety annotations + annotated synchronization primitives.
 //
 // The repo's core contract is bit-identical RunReports under any thread
-// schedule, and the planned sharded engine (ROADMAP: Sniper-style
-// parallel single runs) will turn today's single-threaded state into
-// shared mutable state.  Lock discipline is therefore proven at COMPILE
+// schedule, and the sweep runner shares the System caches across its
+// workers.  Lock discipline is therefore proven at COMPILE
 // time, not just probed by TSan: every mutex in src/ is an `em2::Mutex`,
 // every guard an `em2::MutexLock`, and every field they protect carries
 // `EM2_GUARDED_BY(mutex_)`.  Under clang the build runs with

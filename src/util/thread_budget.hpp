@@ -1,19 +1,19 @@
 // Process-wide host-thread budget shared by every parallelism layer.
 //
-// Two layers spawn OS threads: the sweep runner (one worker per point
-// chunk) and the sharded single-run engine (one worker per mesh shard).
-// Before this module each resolved its width from hardware_concurrency()
-// independently, so a sharded run inside a sweep could oversubscribe the
-// host by workers x shards.  Now every layer leases its extra threads
-// from one shared counter: the process starts with one implicitly-claimed
-// thread (the caller), a layer that wants W-1 helpers acquires them here
-// and gets however many the budget still holds, and nested parallelism
-// degrades gracefully — inner layers simply run with fewer (or zero)
-// helpers instead of stacking pools.
+// The sweep runner spawns one OS thread per point chunk.  Sweeps can
+// run at once — nested in another sweep's body, or from several caller
+// threads — and before this module each resolved its width from
+// hardware_concurrency() independently, so they could oversubscribe the
+// host.  Now every sweep leases its extra threads from one shared
+// counter: the process starts with one implicitly-claimed thread (the
+// caller), a sweep that wants W-1 helpers acquires them here and gets
+// however many the budget still holds, and nested parallelism degrades
+// gracefully — inner sweeps simply run with fewer (or zero) helpers
+// instead of stacking pools.
 //
-// Leases cap EXECUTION width only, never simulation semantics: a 4-shard
-// run that leases 0 helpers still simulates 4 shards (on one thread) and
-// produces the identical report.
+// Leases cap EXECUTION width only, never results: a sweep that leases 0
+// helpers runs every point on the caller and returns the identical
+// results.
 //
 // The budget defaults to hardware_concurrency() and can be pinned with
 // the EM2_THREAD_BUDGET environment variable (read once) or, for tests,

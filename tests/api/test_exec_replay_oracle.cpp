@@ -4,11 +4,11 @@
 // program path it replaced: an ExecSystem configured the way System::run
 // configures it and fed compile_replay_programs must produce the same
 // report, field for field, on every registry workload, for em2, em2-ra
-// (distance:4 and history) and cc under both schedulers, under a fault
-// scenario and under the relaxed sharded engine.  A third run feeds the
-// same ExecSystem cursors directly, so every ExecReport field (the full
-// counter set, the diagnosis, the conservation check) is compared too,
-// not only the ones RunReport carries.
+// (distance:4 and history) and cc under both schedulers, and under a
+// fault scenario.  A third run feeds the same ExecSystem cursors
+// directly, so every ExecReport field (the full counter set, the
+// diagnosis, the conservation check) is compared too, not only the ones
+// RunReport carries.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -46,8 +46,6 @@ ExecReport run_direct(const System& sys, const TraceSet& traces,
   params.block_bytes = traces.block_bytes();
   params.faults = faults;
   params.watchdog_cycles = spec.watchdog_cycles;
-  params.shards = spec.shards;
-  params.skew = spec.skew;
   ExecSystem exec(sys.mesh(), sys.cost_model(), params, *placement);
   if (feed == Feed::kCompiled) {
     std::vector<RProgram> programs = workload::compile_replay_programs(traces);
@@ -200,22 +198,6 @@ TEST(ReplayOracleScenarios, FaultScenarioMatchesCompiledPrograms) {
             compiled_faults.stats().recovered);
   EXPECT_EQ(run.resilience->stats.recovery_cost,
             compiled_faults.stats().recovery_cost);
-}
-
-TEST(ReplayOracleScenarios, RelaxedRunMatchesCompiledPrograms) {
-  SystemConfig cfg;
-  cfg.threads = 64;
-  const System sys(cfg);
-  const workload::Workload w =
-      workload::make_workload("sharing-mix", 64, 1, 3);
-  for (RunSpec spec : {RunSpec{.arch = MemArch::kEm2},
-                       RunSpec{.arch = MemArch::kEm2Ra, .policy = "history"}}) {
-    spec.mode = RunMode::kExec;
-    spec.shards = 4;
-    spec.skew = 200;
-    expect_oracle_agrees(sys, w, spec,
-                         std::string("relaxed ") + to_string(spec.arch));
-  }
 }
 
 }  // namespace

@@ -248,6 +248,34 @@ TEST(ApiSystem, PlacementCacheKeysOnTraceNotName) {
   EXPECT_NE(ra.network_cost, rb.network_cost);  // genuinely different runs
 }
 
+// RunSpec::shards is read by nothing: every exec run takes the
+// sequential engine, so shards = 4 reproduces the shards = 1 report
+// field for field, arch label included.
+TEST(RunSpecSharding, ShardedExactRunReportsIdenticallyToSequential) {
+  System sys(SystemConfig{.threads = 16});
+  const auto w = workload::make_workload("sharing-mix", 16);
+  for (const MemArch arch :
+       {MemArch::kEm2, MemArch::kEm2Ra, MemArch::kCc}) {
+    const RunReport seq =
+        sys.run(w, {.arch = arch, .mode = RunMode::kExec, .shards = 1});
+    const RunReport par =
+        sys.run(w, {.arch = arch, .mode = RunMode::kExec, .shards = 4});
+    ASSERT_TRUE(seq.exec.has_value());
+    ASSERT_TRUE(par.exec.has_value());
+    EXPECT_EQ(seq.arch_label, par.arch_label);
+    EXPECT_EQ(seq.accesses, par.accesses) << to_string(arch);
+    EXPECT_EQ(seq.migrations, par.migrations) << to_string(arch);
+    EXPECT_EQ(seq.evictions, par.evictions) << to_string(arch);
+    EXPECT_EQ(seq.network_cost, par.network_cost) << to_string(arch);
+    EXPECT_EQ(seq.traffic_bits, par.traffic_bits) << to_string(arch);
+    EXPECT_EQ(seq.exec->cycles, par.exec->cycles) << to_string(arch);
+    EXPECT_EQ(seq.exec->instructions, par.exec->instructions)
+        << to_string(arch);
+    EXPECT_EQ(seq.exec->finish_cycle, par.exec->finish_cycle)
+        << to_string(arch);
+  }
+}
+
 // ---- The single fail-fast error path ------------------------------------
 
 TEST(ApiSystemErrors, UnknownWorkloadThrows) {

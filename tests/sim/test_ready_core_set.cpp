@@ -98,7 +98,7 @@ struct Outcome {
 };
 
 Outcome run_travellers(MemArch arch, SchedulerKind sched,
-                       std::uint32_t shards, const std::string& faults) {
+                       const std::string& faults) {
   const Mesh mesh(16, 8);
   const CostModel cost(mesh, CostModelParams{});
   Placement placement = Placement::striped(mesh.num_cores());
@@ -109,7 +109,6 @@ Outcome run_travellers(MemArch arch, SchedulerKind sched,
   ExecParams params;
   params.arch = arch;
   params.scheduler = sched;
-  params.shards = shards;
   params.em2.guest_contexts = 1;  // same-cycle arrivals evict each other
   params.faults = injector ? &*injector : nullptr;
   ExecSystem sys(mesh, cost, params, placement);
@@ -149,17 +148,15 @@ void expect_identical(const Outcome& scan_run, const Outcome& event_run,
 
 TEST(ReadyCoreSetScheduling, WordBoundaryMigrationsMatchScan) {
   for (const MemArch arch : {MemArch::kEm2, MemArch::kEm2Ra, MemArch::kCc}) {
-    const Outcome scan = run_travellers(arch, SchedulerKind::kScan, 1, "");
+    const Outcome scan = run_travellers(arch, SchedulerKind::kScan, "");
     EXPECT_TRUE(scan.report.consistent) << to_string(arch);
     if (arch == MemArch::kEm2) {
       EXPECT_GT(scan.report.counters.get("migrations"), 0u);
       EXPECT_GT(scan.report.counters.get("evictions"), 0u);
     }
-    for (const std::uint32_t shards : {1u, 4u}) {
-      expect_identical(
-          scan, run_travellers(arch, SchedulerKind::kEventDriven, shards, ""),
-          std::string(to_string(arch)) + " shards=" + std::to_string(shards));
-    }
+    expect_identical(scan,
+                     run_travellers(arch, SchedulerKind::kEventDriven, ""),
+                     to_string(arch));
   }
 }
 
@@ -169,16 +166,11 @@ TEST(ReadyCoreSetScheduling, StalledCoresKeepTheirBitAndMatchScan) {
   // the scan scheduler's exact (core, window) draw order.
   for (const MemArch arch : {MemArch::kEm2, MemArch::kEm2Ra}) {
     const std::string faults = "stall=0.5:3,seed=7";
-    const Outcome scan =
-        run_travellers(arch, SchedulerKind::kScan, 1, faults);
+    const Outcome scan = run_travellers(arch, SchedulerKind::kScan, faults);
     EXPECT_GT(scan.faults_injected, 0u) << to_string(arch);
-    for (const std::uint32_t shards : {1u, 4u}) {
-      expect_identical(
-          scan,
-          run_travellers(arch, SchedulerKind::kEventDriven, shards, faults),
-          std::string(to_string(arch)) + " stall shards=" +
-              std::to_string(shards));
-    }
+    expect_identical(scan,
+                     run_travellers(arch, SchedulerKind::kEventDriven, faults),
+                     std::string(to_string(arch)) + " stall");
   }
 }
 

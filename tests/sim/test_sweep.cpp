@@ -13,6 +13,8 @@
 
 #include "api/system.hpp"
 #include "sim/sweep.hpp"
+#include "util/thread_budget.hpp"
+#include "workload/registry.hpp"
 #include "workload/synthetic.hpp"
 
 namespace em2 {
@@ -218,6 +220,37 @@ TEST(Sweep, NoProgressCallbackMeansNoOverheadOrCrash) {
                    sweep::Options{.num_threads = 1});
   (void)sweep::run(8, [](std::size_t i) { return i; },
                    sweep::Options{.num_threads = 4});
+}
+
+// Every sweep leases its helpers from the one process thread budget, so
+// a sweep whose points each run an inner sweep of exec runs gets only
+// the helpers still unclaimed: the peak never exceeds the budget, and
+// the reports match a serial run of the same points.
+TEST(ThreadBudget, NestedSweepsOfExecRunsStayWithinTheBudget) {
+  constexpr std::size_t kBudget = 4;
+  struct BudgetGuard {
+    BudgetGuard() { set_thread_budget_for_testing(kBudget); }
+    ~BudgetGuard() { set_thread_budget_for_testing(0); }
+  } guard;
+  const System sys(SystemConfig{.threads = 16});
+  const auto w = workload::make_workload("sharing-mix", 16);
+  const std::vector<MemArch> arches = {MemArch::kEm2, MemArch::kEm2Ra,
+                                       MemArch::kCc};
+  auto cycles_of = [&](std::size_t i) {
+    const RunReport r = sys.run(w, {.arch = arches[i % arches.size()],
+                                    .mode = RunMode::kExec});
+    return r.exec ? r.exec->cycles : Cycle{0};
+  };
+  auto outer_point = [&](std::size_t) {
+    return sweep::run(arches.size(), cycles_of);  // width from the budget
+  };
+  const auto nested = sweep::run(4, outer_point);
+  EXPECT_LE(thread_budget_peak(), kBudget);
+  const auto serial = sweep::run(arches.size(), cycles_of,
+                                 sweep::Options{.num_threads = 1});
+  for (const auto& inner : nested) {
+    EXPECT_EQ(inner, serial);
+  }
 }
 
 }  // namespace

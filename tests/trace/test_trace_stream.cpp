@@ -414,6 +414,29 @@ TEST(TraceStream, UnknownCodecIdIsRejectedUpFront) {
   std::remove(path.c_str());
 }
 
+TEST(TraceStream, Em2zChunkLargerThanItsPayloadCanDecodeIsRejected) {
+  // One em2z token turns at most 2 stored bytes into 131 raw bytes.  A
+  // CRC-valid footer that declares 64 MiB over 4 payload bytes must
+  // throw from the ctor, before a cursor allocates the declared size;
+  // a chunk exactly at the bound still opens.
+  MiniSpec s;
+  s.payload = {0x01, 0x01, 0x01, 0x01};
+  s.codec = em2s::Em2zCodec::kId;
+  s.raw_bytes = em2s::kMaxChunkBytes;
+  const std::string path = tmp_path("em2z_overdeclared.em2s");
+  write_file(path, build_mini(s));
+  expect_defect([&] { (void)TraceStream(path); },
+                "em2z chunk declares 67108864 raw bytes, more than its "
+                "4-byte payload can decode to");
+  s.raw_bytes = 2 * 131;
+  write_file(path, build_mini(s));
+  EXPECT_NO_THROW((void)TraceStream(path));
+  s.raw_bytes = 2 * 131 + 1;
+  write_file(path, build_mini(s));
+  expect_defect([&] { (void)TraceStream(path); }, "em2z chunk declares");
+  std::remove(path.c_str());
+}
+
 TEST(TraceStream, EmptyAndHeaderOnlyFilesAreRejectedByBothBackends) {
   // mmap(len = 0) fails with EINVAL on Linux, so a zero-length file must
   // be rejected by the size gate BEFORE any mapping is attempted — and
