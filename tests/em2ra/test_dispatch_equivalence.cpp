@@ -82,6 +82,29 @@ TEST(DispatchEquivalence, StaticAndVirtualPathsAreBitIdentical) {
   }
 }
 
+TEST(DispatchEquivalence, ShardedExactExecMatchesAcrossDispatch) {
+  // shards = 4 column: a shard count selects no engine, so the sequential
+  // engine must preserve dispatch-invariance there too (a
+  // dispatch-dependent result would surface here as a diverging report).
+  // Identity to shards = 1 itself is covered by RunSpecSharding.
+  SystemConfig cfg;
+  cfg.threads = 16;
+  const System sys(cfg);
+  const auto w = workload::make_workload("sharing-mix", 16);
+  for (const std::string& spec : matrix_specs()) {
+    RunSpec stat;
+    stat.arch = MemArch::kEm2Ra;
+    stat.mode = RunMode::kExec;
+    stat.policy = spec;
+    stat.shards = 4;
+    RunSpec virt = stat;
+    virt.policy = "custom:" + spec;
+    const RunReport a = sys.run(w, stat);
+    const RunReport b = sys.run(w, virt);
+    expect_reports_equal(a, b, "shards=4 / " + spec);
+  }
+}
+
 TEST(DispatchEquivalence, TraceModeWithContentionCorrectionMatchesToo) {
   // The calibration pass drives the same specialized trace loop; the
   // corrected rerun must be dispatch-invariant as well (including the

@@ -5,11 +5,17 @@
 // finish times.  This file is the equivalence matrix the ISSUE demands,
 // plus a 1024-core smoke run that only the event-driven scheduler could
 // finish in test-suite time.
+//
+// The matrix is two-dimensional: arch x ExecParams::shards.  The shard
+// count selects no engine (every value runs the one sequential engine),
+// so the shards > 1 columns pin that a shard count alone never changes a
+// report field.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/exec_system.hpp"
@@ -54,6 +60,7 @@ struct WorkloadSpec {
   std::int32_t blocks_per_thread = 8;
   std::int32_t guest_contexts = 2;
   Cycle max_cycles = 1'000'000;
+  std::uint32_t shards = 1;
   std::string fault_spec;  // empty = no injector
 };
 
@@ -74,6 +81,7 @@ ExecReport run_workload(MemArch arch, SchedulerKind sched,
   params.arch = arch;
   params.scheduler = sched;
   params.em2.guest_contexts = spec.guest_contexts;
+  params.shards = spec.shards;
   params.faults = faults ? &*faults : nullptr;
   ExecSystem sys(mesh, cost, params, placement);
   for (std::int32_t t = 0; t < spec.threads; ++t) {
@@ -90,17 +98,23 @@ ExecReport run_workload(MemArch arch, SchedulerKind sched,
   return sys.run(spec.max_cycles);
 }
 
-/// Per arch: every cell must match the scan reference.
-class ExecEquivalence : public ::testing::TestWithParam<MemArch> {
+/// (arch, host shard count): every cell must match the scan reference.
+class ExecEquivalence
+    : public ::testing::TestWithParam<std::tuple<MemArch, std::uint32_t>> {
  protected:
-  MemArch arch() const { return GetParam(); }
-  std::string label() const { return std::string(to_string(arch())); }
+  MemArch arch() const { return std::get<0>(GetParam()); }
+  std::uint32_t shards() const { return std::get<1>(GetParam()); }
+  std::string label() const {
+    return std::string(to_string(arch())) + " shards=" +
+           std::to_string(shards());
+  }
 };
 
 TEST_P(ExecEquivalence, SmallMeshMultiThread) {
   WorkloadSpec spec;
   const ExecReport scan =
       run_workload(arch(), SchedulerKind::kScan, spec);
+  spec.shards = shards();
   const ExecReport event =
       run_workload(arch(), SchedulerKind::kEventDriven, spec);
   EXPECT_TRUE(scan.consistent);
@@ -115,6 +129,7 @@ TEST_P(ExecEquivalence, TinyMeshMoreThreadsThanCores) {
   spec.blocks_per_thread = 6;
   const ExecReport scan =
       run_workload(arch(), SchedulerKind::kScan, spec);
+  spec.shards = shards();
   const ExecReport event =
       run_workload(arch(), SchedulerKind::kEventDriven, spec);
   EXPECT_TRUE(scan.consistent);
@@ -128,6 +143,7 @@ TEST_P(ExecEquivalence, EvictionStormSingleGuestContext) {
   spec.blocks_per_thread = 10;
   const ExecReport scan =
       run_workload(arch(), SchedulerKind::kScan, spec);
+  spec.shards = shards();
   const ExecReport event =
       run_workload(arch(), SchedulerKind::kEventDriven, spec);
   EXPECT_TRUE(scan.consistent);
@@ -140,6 +156,7 @@ TEST_P(ExecEquivalence, TimeoutReportsMatch) {
   spec.max_cycles = 137;  // cut the run off mid-flight
   const ExecReport scan =
       run_workload(arch(), SchedulerKind::kScan, spec);
+  spec.shards = shards();
   const ExecReport event =
       run_workload(arch(), SchedulerKind::kEventDriven, spec);
   EXPECT_TRUE(scan.timed_out);
@@ -162,6 +179,7 @@ TEST_P(ExecEquivalence, FaultScenariosMatchSequential) {
     spec.fault_spec = faults;
     const ExecReport scan =
         run_workload(arch(), SchedulerKind::kScan, spec);
+    spec.shards = shards();
     const ExecReport event =
         run_workload(arch(), SchedulerKind::kEventDriven, spec);
     expect_identical(scan, event, (label() + " " + faults).c_str());
@@ -169,11 +187,16 @@ TEST_P(ExecEquivalence, FaultScenariosMatchSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Arch, ExecEquivalence,
-    ::testing::Values(MemArch::kEm2, MemArch::kEm2Ra, MemArch::kCc),
+    ArchByShards, ExecEquivalence,
+    ::testing::Combine(::testing::Values(MemArch::kEm2, MemArch::kEm2Ra,
+                                         MemArch::kCc),
+                       ::testing::Values(1u, 2u, 4u, 8u)),
     [](const auto& param_info) {
-      const std::string arch = to_string(param_info.param);
-      return arch == "em2-ra" ? std::string("em2ra") : arch;
+      const std::string arch =
+          std::string(to_string(std::get<0>(param_info.param))) == "em2-ra"
+              ? "em2ra"
+              : to_string(std::get<0>(param_info.param));
+      return arch + "_shards" + std::to_string(std::get<1>(param_info.param));
     });
 
 // Idle-cycle skipping must not change the clock: a lone far-corner thread

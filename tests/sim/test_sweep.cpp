@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "api/system.hpp"
+#include "sim/exec_system.hpp"
 #include "sim/sweep.hpp"
 #include "util/thread_budget.hpp"
 #include "workload/registry.hpp"
@@ -19,6 +20,14 @@
 
 namespace em2 {
 namespace {
+
+/// Sets the process thread budget for one test and restores the default.
+struct BudgetGuard {
+  explicit BudgetGuard(std::size_t budget) {
+    set_thread_budget_for_testing(budget);
+  }
+  ~BudgetGuard() { set_thread_budget_for_testing(0); }
+};
 
 TEST(Sweep, ResultsComeBackInPointOrder) {
   const auto results = sweep::run(
@@ -225,31 +234,86 @@ TEST(Sweep, NoProgressCallbackMeansNoOverheadOrCrash) {
 // Every sweep leases its helpers from the one process thread budget, so
 // a sweep whose points each run an inner sweep of exec runs gets only
 // the helpers still unclaimed: the peak never exceeds the budget, and
-// the reports match a serial run of the same points.
-TEST(ThreadBudget, NestedSweepsOfExecRunsStayWithinTheBudget) {
+// the reports match a serial run of the same points.  The inner runs set
+// shards = 4, which selects no engine; the serial reference runs at
+// shards = 1.
+TEST(ThreadBudget, SweepOfShardedRunsStaysWithinTheBudget) {
   constexpr std::size_t kBudget = 4;
-  struct BudgetGuard {
-    BudgetGuard() { set_thread_budget_for_testing(kBudget); }
-    ~BudgetGuard() { set_thread_budget_for_testing(0); }
-  } guard;
+  BudgetGuard guard(kBudget);
   const System sys(SystemConfig{.threads = 16});
   const auto w = workload::make_workload("sharing-mix", 16);
   const std::vector<MemArch> arches = {MemArch::kEm2, MemArch::kEm2Ra,
                                        MemArch::kCc};
-  auto cycles_of = [&](std::size_t i) {
-    const RunReport r = sys.run(w, {.arch = arches[i % arches.size()],
-                                    .mode = RunMode::kExec});
+  auto cycles_at = [&](std::size_t i, std::uint32_t shards) {
+    RunSpec spec;
+    spec.arch = arches[i % arches.size()];
+    spec.mode = RunMode::kExec;
+    spec.shards = shards;
+    const RunReport r = sys.run(w, spec);
     return r.exec ? r.exec->cycles : Cycle{0};
   };
   auto outer_point = [&](std::size_t) {
-    return sweep::run(arches.size(), cycles_of);  // width from the budget
+    return sweep::run(arches.size(), [&](std::size_t i) {
+      return cycles_at(i, 4);
+    });  // width from the budget
   };
   const auto nested = sweep::run(4, outer_point);
   EXPECT_LE(thread_budget_peak(), kBudget);
-  const auto serial = sweep::run(arches.size(), cycles_of,
-                                 sweep::Options{.num_threads = 1});
+  const auto serial = sweep::run(
+      arches.size(), [&](std::size_t i) { return cycles_at(i, 1); },
+      sweep::Options{.num_threads = 1});
   for (const auto& inner : nested) {
     EXPECT_EQ(inner, serial);
+  }
+}
+
+/// Sums `n` words at `base` (stride 64B) into memory at `result`.
+RProgram sum_program(Addr base, int n, Addr result) {
+  RAsm a;
+  a.addi(1, 0, 0);
+  a.addi(2, 0, static_cast<std::int32_t>(base));
+  a.addi(3, 0, n);
+  const std::int32_t loop = a.here();
+  a.lw(4, 2, 0).add(1, 1, 4).addi(2, 2, 64).addi(3, 3, -1);
+  const std::int32_t br = a.here();
+  a.bne(3, 0, 0);
+  a.patch_imm(br, loop - (br + 1));
+  a.addi(5, 0, static_cast<std::int32_t>(result));
+  a.sw(1, 5, 0);
+  a.halt();
+  return a.build();
+}
+
+// Direct ExecSystem users: a sweep of runs with ExecParams::shards = 4
+// leases no more than the budget, and every run still computes its sums.
+TEST(ThreadBudget, ExactModeShardedRunsShareTheBudgetToo) {
+  constexpr std::size_t kBudget = 4;
+  BudgetGuard guard(kBudget);
+  const Mesh mesh(4, 4);
+  const CostModel cost(mesh, CostModelParams{});
+  const Placement placement = Placement::striped(mesh.num_cores());
+  const auto sums = sweep::run(4, [&](std::size_t i) {
+    ExecParams params;
+    params.shards = 4;
+    ExecSystem sys(mesh, cost, params, placement);
+    for (std::int32_t t = 0; t < 4; ++t) {
+      const Addr base = 0x10000 + static_cast<Addr>(t) * 0x4000;
+      for (std::int32_t b = 0; b < 8; ++b) {
+        sys.poke(base + static_cast<Addr>(b) * 64,
+                 static_cast<std::uint32_t>(b + static_cast<std::int32_t>(i)));
+      }
+      sys.add_thread(sum_program(base, 8, 0xF000 + static_cast<Addr>(t) * 64),
+                     static_cast<CoreId>((t * 5) % mesh.num_cores()));
+    }
+    const ExecReport r = sys.run(1'000'000);
+    EXPECT_TRUE(r.consistent);
+    EXPECT_FALSE(r.timed_out);
+    return sys.peek(0xF000);
+  });
+  EXPECT_LE(thread_budget_peak(), kBudget);
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    // 0 + 1 + ... + 7, each word offset by the point index.
+    EXPECT_EQ(sums[i], 28u + 8u * static_cast<std::uint32_t>(i));
   }
 }
 
